@@ -2,7 +2,7 @@
 //! one-to-many tables and ALT landmark bounds against the pre-existing
 //! pairwise-A* path, with the deterministic executor at `--threads`.
 //!
-//! Emits `BENCH_PR5.json` with per-phase wall-clock timings, shortest-path
+//! Emits a `BENCH_PR5.json` report with per-phase wall-clock timings, shortest-path
 //! work counters and the baseline/optimised comparison. The two runs must
 //! produce identical clusters — the binary asserts it.
 //!
@@ -10,7 +10,10 @@
 //!
 //! * `--smoke` — tiny fixture (seconds, debug-friendly); used by the CI
 //!   `bench-smoke` job.
-//! * `--out <path>` — where to write the JSON (default `BENCH_PR5.json`).
+//! * `--out <path>` — where to write the JSON (default
+//!   `target/bench/BENCH_PR5.json`, under `$CARGO_TARGET_DIR` when set;
+//!   the files at the repository root are recorded results, written only
+//!   when passed explicitly).
 //! * `--check-baseline <path>` — compare the optimised run's phase-3
 //!   shortest-path work (`sp_computations + one_to_many_scans`) against a
 //!   checked-in baseline JSON and exit non-zero on regression.
@@ -39,7 +42,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut out = Args {
         smoke: false,
-        out: "BENCH_PR5.json".into(),
+        out: neat_bench::default_out("BENCH_PR5.json"),
         check_baseline: None,
         threads: 8,
         alt: None,
@@ -187,7 +190,7 @@ fn main() {
         "{}\n",
         serde_json::to_string_pretty(&report).expect("serialize report")
     );
-    std::fs::write(&args.out, &pretty).expect("write BENCH_PR5.json");
+    neat_bench::write_out(&args.out, &pretty).expect("write the report");
     neat_bench::log::out(&format!(
         "pr5_speedup: phase3 {base_p3:.3}s -> {opt_p3:.3}s ({speedup:.2}x), \
          sp work {base_work} -> {opt_work} ({})",

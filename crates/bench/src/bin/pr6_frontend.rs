@@ -3,7 +3,7 @@
 //! map-matching kernel (flat cost/backpointer matrices, CSR grid,
 //! reusable scratch buffers).
 //!
-//! Emits `BENCH_PR6.json` with phase-1 wall-clock timings (legacy
+//! Emits a `BENCH_PR6.json` report with phase-1 wall-clock timings (legacy
 //! reference vs arena at 1 and N threads), map-matching throughput, and
 //! the deterministic work counters (`samples_scanned`,
 //! `candidate_lookups`, `matrix_cells`) that gate CI. The arena runs
@@ -14,7 +14,10 @@
 //!
 //! * `--smoke` — tiny fixture (seconds, debug-friendly); used by the CI
 //!   `bench-smoke` job.
-//! * `--out <path>` — where to write the JSON (default `BENCH_PR6.json`).
+//! * `--out <path>` — where to write the JSON (default
+//!   `target/bench/BENCH_PR6.json`, under `$CARGO_TARGET_DIR` when set;
+//!   the files at the repository root are recorded results, written only
+//!   when passed explicitly).
 //! * `--check-baseline <path>` — compare the deterministic counters
 //!   against a checked-in baseline JSON and exit non-zero on any drift.
 //! * `--threads <n>` — thread count for the parallel run (default 8).
@@ -44,7 +47,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut out = Args {
         smoke: false,
-        out: "BENCH_PR6.json".into(),
+        out: neat_bench::default_out("BENCH_PR6.json"),
         check_baseline: None,
         threads: 8,
         objects: 5000,
@@ -282,7 +285,7 @@ fn main() {
         "{}\n",
         serde_json::to_string_pretty(&report).expect("serialize report")
     );
-    std::fs::write(&args.out, &pretty).expect("write BENCH_PR6.json");
+    neat_bench::write_out(&args.out, &pretty).expect("write the report");
     neat_bench::log::out(&format!(
         "pr6_frontend: phase1 {:.4}s -> {:.4}s @1T ({speedup_1t:.2}x), {:.4}s @{}T \
          ({speedup_nt:.2}x); mapmatch {:.3}s for {} samples ({})",

@@ -34,6 +34,26 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t0.elapsed())
 }
 
+/// Default `--out` path of a JSON-emitting benchmark: `file` under
+/// `$CARGO_TARGET_DIR/bench/` (`target/bench/` when unset), so a local
+/// run never overwrites a result checked in at the repository root.
+pub fn default_out(file: &str) -> String {
+    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
+    format!("{target}/bench/{file}")
+}
+
+/// Writes `contents` to `path`, creating its parent directories.
+///
+/// # Errors
+///
+/// Propagates the I/O error of creating the directories or the file.
+pub fn write_out(path: &str, contents: &str) -> std::io::Result<()> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, contents)
+}
+
 /// Parsed command-line options shared by the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchArgs {

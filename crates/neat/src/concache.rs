@@ -62,7 +62,7 @@ impl Hasher for FxHasher {
     }
 }
 
-type FxBuild = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Number of shards; a power of two so shard selection is a mask.
 const SHARDS: usize = 32;

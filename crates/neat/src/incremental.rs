@@ -10,6 +10,12 @@
 //! [`IncrementalNeat::ingest`] call runs Phases 1–2 on the fresh batch
 //! only, appends the resulting flow clusters to the retained set and
 //! re-refines with the density-based Phase 3.
+//!
+//! The session keeps Phase-3 state between refinements (DESIGN.md §18):
+//! the drift baseline of its last complete refinement, so an expiry
+//! refines once rather than twice, and a cache of the ALT landmarks and
+//! of bounded endpoint distances. None of it is persisted;
+//! every piece equals what a cold refinement recomputes.
 
 use crate::checkpoint::{self, CheckpointError, CheckpointStore, ResumeReport};
 use crate::config::NeatConfig;
@@ -18,14 +24,18 @@ use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
 use crate::phase1::{form_base_clusters_ctl, form_base_clusters_with_policy, ResilienceCounters};
 use crate::phase2::{form_flow_clusters, form_flow_clusters_ctl};
-use crate::phase3::{refine_flow_clusters, refine_flow_clusters_ctl, Phase3Stats};
+use crate::phase3::{
+    refine_flow_clusters, refine_inner, ControlledRefinement, Phase3Stats, SessionCache,
+    SessionCacheStats,
+};
 use crate::pipeline::Mode;
 use crate::retention::{self, ExpiryOutcome};
 use neat_durability::fs::Fs;
 use neat_rnet::RoadNetwork;
 use neat_runctl::{Control, Interrupt};
 use neat_traj::sanitize::ErrorPolicy;
-use neat_traj::Dataset;
+use neat_traj::{Dataset, TrajectoryId};
+use std::collections::BTreeSet;
 
 /// Result of [`IncrementalNeat::ingest_controlled`].
 ///
@@ -88,6 +98,12 @@ pub struct IncrementalNeat<'a> {
     /// Logical-time retention watermark: every retained t-fragment has
     /// `last.time >= watermark`. `None` until the first expiry.
     watermark: Option<f64>,
+    /// Drift baseline of `flows`: the cluster sets of their last
+    /// refinement, kept only when that refinement was complete (so it
+    /// equals a cold one) and cleared whenever `flows` change otherwise.
+    baseline: Option<Vec<BTreeSet<TrajectoryId>>>,
+    /// Landmarks and endpoint distances reused across refinements.
+    cache: SessionCache,
 }
 
 impl<'a> IncrementalNeat<'a> {
@@ -101,6 +117,8 @@ impl<'a> IncrementalNeat<'a> {
             last_stats: Phase3Stats::default(),
             resilience: ResilienceCounters::default(),
             watermark: None,
+            baseline: None,
+            cache: SessionCache::default(),
         }
     }
 
@@ -142,9 +160,35 @@ impl<'a> IncrementalNeat<'a> {
         &self.flows
     }
 
-    /// Phase-3 instrumentation of the most recent [`IncrementalNeat::ingest`].
+    /// Phase-3 instrumentation of the most recent refinement that
+    /// changed the retained state: an applied ingest (any entry point)
+    /// or a watermark advance. A no-op expiry leaves it as it was.
     pub fn last_refinement_stats(&self) -> Phase3Stats {
         self.last_stats
+    }
+
+    /// What the session's Phase-3 cache holds, and how many one-to-many
+    /// expansions the most recent refinement actually ran. Unlike
+    /// [`IncrementalNeat::last_refinement_stats`] this depends on the
+    /// session's history (a resumed session starts with an empty cache).
+    pub fn cache_stats(&self) -> SessionCacheStats {
+        self.cache.stats()
+    }
+
+    /// Phase 3 over the retained flows through the session cache. The
+    /// drift baseline is replaced by this refinement's cluster sets when
+    /// it completed, and dropped otherwise.
+    fn refine(&mut self, ctl: Option<&Control>) -> Result<ControlledRefinement, NeatError> {
+        let refined = refine_inner(
+            self.net,
+            self.flows.clone(),
+            &self.config,
+            ctl,
+            Some(&mut self.cache),
+        )?;
+        self.baseline = (refined.status.is_complete() && !refined.elb_only)
+            .then(|| retention::cluster_sets(&refined.output.clusters));
+        Ok(refined)
     }
 
     /// Ingests a new batch of trajectories: Phases 1–2 run on the batch
@@ -181,7 +225,7 @@ impl<'a> IncrementalNeat<'a> {
         self.flows.extend(self.admit_flows(p2.flow_clusters));
         self.batches += 1;
         self.resilience.merge(&counters);
-        let p3 = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
+        let p3 = self.refine(None)?.output;
         self.last_stats = p3.stats;
         Ok(p3.clusters)
     }
@@ -190,6 +234,12 @@ impl<'a> IncrementalNeat<'a> {
     /// cooperative cancel points run through the batch's Phases 1–2 and
     /// the combined refinement, and on interrupt the call degrades
     /// gracefully instead of erroring.
+    ///
+    /// The refinement runs through the session's Phase-3 cache: memo
+    /// fills are charged to `ctl` per settled node, lookups the memo
+    /// answers and landmarks built by an earlier refinement are not
+    /// charged at all (DESIGN.md §18). A warm session therefore spends
+    /// less of the budget than a cold one on the same flows.
     ///
     /// State mutation is atomic: an interrupt during the batch's Phase 1
     /// or Phase 2 returns `applied == false` and leaves the retained
@@ -282,7 +332,7 @@ impl<'a> IncrementalNeat<'a> {
 
         // Refinement reads the retained flows but never mutates them, so
         // a degraded or partial grouping here only affects this view.
-        let refined = refine_flow_clusters_ctl(self.net, self.flows.clone(), &self.config, ctl)?;
+        let refined = self.refine(Some(ctl))?;
         self.last_stats = refined.output.stats;
         let s3 = refined.status;
         let mut steps = Vec::new();
@@ -369,7 +419,7 @@ impl<'a> IncrementalNeat<'a> {
         self.config.validate()?;
         if let Some(current) = self.watermark {
             if watermark <= current {
-                let p3 = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
+                let p3 = self.refine(None)?.output;
                 return Ok(ExpiryOutcome {
                     watermark: current,
                     advanced: false,
@@ -381,14 +431,23 @@ impl<'a> IncrementalNeat<'a> {
                 });
             }
         }
-        let before = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
+        // The drift "before" side is the last complete refinement of the
+        // current flows; only a session without one (fresh, resumed, or
+        // after a degraded ingest) refines for it.
+        let before = match self.baseline.take() {
+            Some(sets) => sets,
+            None => retention::cluster_sets(&self.refine(None)?.output.clusters),
+        };
         let (kept, stats) = retention::expire_flows(std::mem::take(&mut self.flows), watermark);
         self.flows = kept;
         self.watermark = Some(watermark);
         self.batches += 1;
-        let after = refine_flow_clusters(self.net, self.flows.clone(), &self.config)?;
+        let after = self.refine(None)?.output;
         self.last_stats = after.stats;
-        let events = retention::diff_drift(&before.clusters, &after.clusters);
+        // An uncontrolled refinement always completes, so it left its
+        // cluster sets as the new baseline.
+        let events =
+            retention::diff_drift_sets(&before, self.baseline.as_deref().unwrap_or_default());
         Ok(ExpiryOutcome {
             watermark,
             advanced: true,
@@ -585,6 +644,8 @@ impl<'a> IncrementalNeat<'a> {
                     last_stats: state.last_stats,
                     resilience: state.resilience,
                     watermark: state.watermark,
+                    baseline: None,
+                    cache: SessionCache::default(),
                 }
             }
             None => IncrementalNeat::new(net, config),
@@ -631,7 +692,11 @@ impl<'a> IncrementalNeat<'a> {
         let before = self.flows.len();
         self.flows
             .retain(|f| f.trajectory_cardinality() >= min_card);
-        before - self.flows.len()
+        let evicted = before - self.flows.len();
+        if evicted > 0 {
+            self.baseline = None;
+        }
+        evicted
     }
 
     /// Drops all retained state.
@@ -641,6 +706,7 @@ impl<'a> IncrementalNeat<'a> {
         self.last_stats = Phase3Stats::default();
         self.resilience = ResilienceCounters::default();
         self.watermark = None;
+        self.baseline = None;
     }
 }
 

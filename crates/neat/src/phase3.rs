@@ -32,8 +32,14 @@
 //!   order, and under a [`Control`] the executor's speculative-charging
 //!   protocol lands interrupts at the exact op index the sequential loop
 //!   would — the clustering output is bit-identical for any thread count.
+//!
+//! An online session ([`crate::IncrementalNeat`]) additionally keeps a
+//! session cache between refinements: the ALT landmarks, built once, and
+//! a memo of bounded endpoint distances, so a refinement only expands
+//! from an endpoint towards targets it has not measured yet. The batch
+//! entry points run cold, exactly as before (DESIGN.md §18).
 
-use crate::concache::ShardedMap;
+use crate::concache::{FxBuild, ShardedMap};
 use crate::config::{NeatConfig, RouteDistance, SpStrategy};
 use crate::control::PhaseStatus;
 use crate::error::NeatError;
@@ -44,7 +50,7 @@ use neat_rnet::path::{NodeDistances, TravelMode};
 use neat_rnet::{NodeId, RoadNetwork, ShortestPathEngine};
 use neat_runctl::{Control, Interrupt, OverrunMode};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Instrumentation counters for the Figure-7 ablation (ELB vs Dijkstra).
@@ -92,6 +98,96 @@ pub struct Phase3Output {
     pub stats: Phase3Stats,
 }
 
+/// Phase-3 state an online session keeps across refinements of a
+/// changing flow set, on one road network under one configuration.
+///
+/// Every entry equals what a cold refinement recomputes, so none of it
+/// is persisted: a resumed session starts empty and refills on demand.
+///
+/// * `alt` — the ALT landmarks. Their selection and tables depend only
+///   on the network and `alt_landmarks`, so the first refinement that
+///   needs them builds them and later ones reuse them.
+/// * `memo` — `(source, target) → Some(d)` when the undirected network
+///   distance `d ≤ ε`, `None` when it is farther (or unreachable).
+///   Entries are measured by one-to-many expansions *from the source*,
+///   and a settled node's distance does not depend on which targets the
+///   expansion was pruned to, so each entry is bit-identical to the
+///   lookup a cold endpoint table gives. Pairs whose source or target is
+///   no longer the endpoint of a retained flow are evicted at the start
+///   of every refinement, which bounds the memo by the window.
+///
+/// # Budget semantics
+///
+/// Under a [`Control`], expansions that fill the memo are charged one
+/// settlement per finalised node, exactly like the table builds they
+/// replace; lookups answered by the memo cost nothing. An interrupted
+/// fill stores no pair. The landmark build is charged to the refinement
+/// that runs it and never again; an interrupted build stores nothing
+/// and the next refinement retries it. So a warm session spends less
+/// budget than a cold one on the same flows, and a tight budget may stop
+/// it at a later point, but a refinement that completes returns the same
+/// clusters and [`Phase3Stats`] either way.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SessionCache {
+    alt: Option<AltLandmarks>,
+    memo: EndpointMemo,
+}
+
+/// The bounded endpoint-distance memo of a [`SessionCache`].
+#[derive(Debug, Clone, Default)]
+struct EndpointMemo {
+    pairs: HashMap<u64, Option<f64>, FxBuild>,
+    /// One-to-many expansions run by the most recent refinement.
+    expansions: u64,
+}
+
+/// What an online session's Phase-3 cache holds and did — reported
+/// apart from [`Phase3Stats`], which stays a function of the flow set
+/// alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SessionCacheStats {
+    /// Endpoint pairs held by the distance memo.
+    pub memo_pairs: usize,
+    /// One-to-many expansions the most recent refinement actually ran
+    /// (`one_to_many_scans` minus the tables the memo answered alone).
+    pub expansions: u64,
+}
+
+impl SessionCache {
+    /// Memo size and the last refinement's expansion count.
+    pub(crate) fn stats(&self) -> SessionCacheStats {
+        SessionCacheStats {
+            memo_pairs: self.memo.pairs.len(),
+            expansions: self.memo.expansions,
+        }
+    }
+}
+
+impl EndpointMemo {
+    /// Starts a refinement of `flows`: evicts every pair with a node
+    /// that is not an endpoint of `flows` and resets the expansion count.
+    fn start_refinement(&mut self, flows: &[FlowCluster]) {
+        let mut live: Vec<u64> = flows
+            .iter()
+            .flat_map(|f| {
+                let (a, b) = f.endpoints();
+                [a.index() as u64, b.index() as u64]
+            })
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        let is_live = |n: u64| live.binary_search(&n).is_ok();
+        self.pairs
+            .retain(|&key, _| is_live(key >> 32) && is_live(key & 0xFFFF_FFFF));
+        self.expansions = 0;
+    }
+}
+
+/// Directed memo key for the distance measured from `src` to `target`.
+fn memo_key(src: NodeId, target: NodeId) -> u64 {
+    ((src.index() as u64) << 32) | (target.index() as u64)
+}
+
 /// Packs a symmetric node pair into one cache key (smaller index in the
 /// high half, so `(a, b)` and `(b, a)` collide by construction).
 fn pair_key(lo: NodeId, hi: NodeId) -> u64 {
@@ -134,7 +230,7 @@ struct DistanceOracle<'a> {
     /// share an endpoint.
     tables: ShardedMap<Arc<NodeDistances>>,
     /// Landmark tables for the ALT lower bound (`None` when disabled).
-    alt: Option<AltLandmarks>,
+    alt: Option<&'a AltLandmarks>,
 }
 
 /// The one-to-many tables of one scanned flow's two endpoints.
@@ -327,6 +423,7 @@ impl<'a> DistanceOracle<'a> {
     /// scanned flow's two endpoints. Table expansions are charged to
     /// `ctl` one settlement per finalised node, exactly like the
     /// point-to-point searches they replace.
+    #[allow(clippy::too_many_arguments)]
     fn endpoint_tables(
         &self,
         engine: &mut ShortestPathEngine,
@@ -334,13 +431,14 @@ impl<'a> DistanceOracle<'a> {
         cur: usize,
         ctl: Option<&Control>,
         stats: &mut Phase3Stats,
+        mut memo: Option<&mut EndpointMemo>,
     ) -> Result<EndpointTables, Interrupt> {
         let (a1, a2) = flows[cur].endpoints();
-        let t1 = self.table_for(engine, flows, a1, ctl, stats)?;
+        let t1 = self.table_for(engine, flows, a1, ctl, stats, memo.as_deref_mut())?;
         let t2 = if a2 == a1 {
             Arc::clone(&t1)
         } else {
-            self.table_for(engine, flows, a2, ctl, stats)?
+            self.table_for(engine, flows, a2, ctl, stats, memo)?
         };
         Ok(EndpointTables {
             ends: (a1, a2),
@@ -349,6 +447,10 @@ impl<'a> DistanceOracle<'a> {
         })
     }
 
+    /// The table of `src` for this refinement, built once per
+    /// refinement. `one_to_many_scans` counts that build whether it ran
+    /// an expansion or was answered by the session memo, so the counter
+    /// stays a function of the flow set.
     fn table_for(
         &self,
         engine: &mut ShortestPathEngine,
@@ -356,24 +458,70 @@ impl<'a> DistanceOracle<'a> {
         src: NodeId,
         ctl: Option<&Control>,
         stats: &mut Phase3Stats,
+        memo: Option<&mut EndpointMemo>,
     ) -> Result<Arc<NodeDistances>, Interrupt> {
         let (table, fresh) = self.tables.try_get_or_insert_with(src.index() as u64, || {
             let targets = self.table_targets(flows, src);
-            engine
-                .distances_within_targets_ctl(
+            match memo {
+                None => engine.distances_within_targets_ctl(
                     self.net,
                     src,
                     TravelMode::Undirected,
                     self.epsilon,
                     Some(&targets),
                     ctl,
-                )
-                .map(Arc::new)
+                ),
+                Some(memo) => self.memo_table(engine, src, &targets, ctl, memo),
+            }
+            .map(Arc::new)
         })?;
         if fresh {
             stats.one_to_many_scans += 1;
         }
         Ok(table)
+    }
+
+    /// The table of `src` over `targets`, answered from the session memo.
+    /// One expansion runs for the targets the memo does not hold yet,
+    /// pruned to exactly those; its results enter the memo only when it
+    /// completes. A target absent from the returned table is farther
+    /// than ε — the same answer the cold table gives for every target.
+    fn memo_table(
+        &self,
+        engine: &mut ShortestPathEngine,
+        src: NodeId,
+        targets: &[NodeId],
+        ctl: Option<&Control>,
+        memo: &mut EndpointMemo,
+    ) -> Result<NodeDistances, Interrupt> {
+        let missing: Vec<NodeId> = targets
+            .iter()
+            .copied()
+            .filter(|&b| !memo.pairs.contains_key(&memo_key(src, b)))
+            .collect();
+        if !missing.is_empty() {
+            let fresh = engine.distances_within_targets_ctl(
+                self.net,
+                src,
+                TravelMode::Undirected,
+                self.epsilon,
+                Some(&missing),
+                ctl,
+            )?;
+            memo.expansions += 1;
+            for &b in &missing {
+                memo.pairs.insert(memo_key(src, b), fresh.get(b));
+            }
+        }
+        Ok(NodeDistances::from_pairs(
+            targets
+                .iter()
+                .filter_map(|&b| {
+                    let d = memo.pairs.get(&memo_key(src, b)).copied().flatten();
+                    d.map(|d| (b, d))
+                })
+                .collect(),
+        ))
     }
 
     /// Endpoint-pair Hausdorff decision (`d ≤ ε`) answered entirely from
@@ -434,7 +582,7 @@ pub fn refine_flow_clusters(
     flows: Vec<FlowCluster>,
     config: &NeatConfig,
 ) -> Result<Phase3Output, NeatError> {
-    refine_inner(net, flows, config, None).map(|c| c.output)
+    refine_inner(net, flows, config, None, None).map(|c| c.output)
 }
 
 /// Result of a controlled Phase 3.
@@ -476,7 +624,7 @@ pub fn refine_flow_clusters_ctl(
     config: &NeatConfig,
     ctl: &Control,
 ) -> Result<ControlledRefinement, NeatError> {
-    refine_inner(net, flows, config, Some(ctl))
+    refine_inner(net, flows, config, Some(ctl), None)
 }
 
 /// `true` when interrupt `why` should switch the phase to the ELB-only
@@ -613,13 +761,22 @@ fn scan_exact_sequential(
     Ok(())
 }
 
-fn refine_inner(
+/// The Phase-3 body behind every entry point. With a `cache` (an online
+/// session) the landmarks and endpoint distances persist between calls;
+/// the clusters, status and [`Phase3Stats`] of a refinement that
+/// completes equal the cold ones, and `SessionCache` states the budget
+/// semantics.
+pub(crate) fn refine_inner(
     net: &RoadNetwork,
     flows: Vec<FlowCluster>,
     config: &NeatConfig,
     ctl: Option<&Control>,
+    mut cache: Option<&mut SessionCache>,
 ) -> Result<ControlledRefinement, NeatError> {
     config.validate()?;
+    if let Some(c) = cache.as_deref_mut() {
+        c.memo.start_refinement(&flows);
+    }
     let n = flows.len();
     if n == 0 {
         return Ok(ControlledRefinement {
@@ -652,8 +809,15 @@ fn refine_inner(
 
     // ALT landmark preprocessing: exactly `alt_landmarks` full Dijkstra
     // expansions, charged to `ctl` like the query-time searches whose
-    // skips pay for them. Only worthwhile when the ELB filter runs.
-    let alt = if config.use_elb && config.alt_landmarks > 0 && n >= 2 {
+    // skips pay for them. Only worthwhile when the ELB filter runs. A
+    // session builds them into its cache once; a cold run builds its own.
+    let mut own_alt = None;
+    let (alt_slot, mut memo) = match cache {
+        Some(c) => (&mut c.alt, Some(&mut c.memo)),
+        None => (&mut own_alt, None),
+    };
+    let want_alt = config.use_elb && config.alt_landmarks > 0 && n >= 2;
+    if want_alt && alt_slot.is_none() {
         match AltLandmarks::build_ctl(
             net,
             &mut engine,
@@ -661,21 +825,17 @@ fn refine_inner(
             TravelMode::Undirected,
             ctl,
         ) {
-            Ok(a) => Some(a),
-            Err(why) => {
-                match ctl {
-                    Some(c) if should_degrade(why, c, false) => {
-                        degraded = Some(why);
-                        c.degrade(DEGRADE_NOTE);
-                    }
-                    _ => stopped = Some(why),
+            Ok(a) => *alt_slot = Some(a),
+            Err(why) => match ctl {
+                Some(c) if should_degrade(why, c, false) => {
+                    degraded = Some(why);
+                    c.degrade(DEGRADE_NOTE);
                 }
-                None
-            }
+                _ => stopped = Some(why),
+            },
         }
-    } else {
-        None
-    };
+    }
+    let alt = if want_alt { alt_slot.as_ref() } else { None };
 
     // Endpoint tables replace bounded point-to-point searches only where
     // both are defined: endpoint distances under the bounded strategy.
@@ -805,8 +965,14 @@ fn refine_inner(
                         },
                         None if survivors.is_empty() => Ok(()),
                         None => {
-                            match oracle.endpoint_tables(&mut engine, &flows, cur, ctl, &mut stats)
-                            {
+                            match oracle.endpoint_tables(
+                                &mut engine,
+                                &flows,
+                                cur,
+                                ctl,
+                                &mut stats,
+                                memo.as_deref_mut(),
+                            ) {
                                 Err(why) => match ctl {
                                     Some(c) if should_degrade(why, c, false) => {
                                         // A one-to-many expansion hit the

@@ -212,6 +212,12 @@ fn cluster_set(c: &TrajectoryCluster) -> BTreeSet<TrajectoryId> {
     all
 }
 
+/// Everything [`diff_drift`] reads from one refinement output: the
+/// participating-trajectory set of each cluster, in cluster order.
+pub(crate) fn cluster_sets(clusters: &[TrajectoryCluster]) -> Vec<BTreeSet<TrajectoryId>> {
+    clusters.iter().map(cluster_set).collect()
+}
+
 /// Lineage key of a participating set: its smallest trajectory id.
 fn key_of(s: &BTreeSet<TrajectoryId>) -> u64 {
     s.iter().next().map(|t| t.value()).unwrap_or(u64::MAX)
@@ -234,9 +240,14 @@ fn intersects(a: &BTreeSet<TrajectoryId>, b: &BTreeSet<TrajectoryId>) -> bool {
 /// (current clusters first, then deaths), so the output is deterministic
 /// for deterministic inputs.
 pub fn diff_drift(prev: &[TrajectoryCluster], curr: &[TrajectoryCluster]) -> Vec<DriftEvent> {
-    let prev_sets: Vec<BTreeSet<TrajectoryId>> = prev.iter().map(cluster_set).collect();
-    let curr_sets: Vec<BTreeSet<TrajectoryId>> = curr.iter().map(cluster_set).collect();
+    diff_drift_sets(&cluster_sets(prev), &cluster_sets(curr))
+}
 
+/// [`diff_drift`] over the [`cluster_sets`] of the two outputs.
+pub(crate) fn diff_drift_sets(
+    prev_sets: &[BTreeSet<TrajectoryId>],
+    curr_sets: &[BTreeSet<TrajectoryId>],
+) -> Vec<DriftEvent> {
     // For every predecessor, the current cluster that inherits its
     // lineage: largest overlap, ties to the smaller current key.
     let heir_of: Vec<Option<usize>> = prev_sets

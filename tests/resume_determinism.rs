@@ -6,9 +6,11 @@
 
 use neat_repro::durability::MemFs;
 use neat_repro::mobisim::{generate_dataset, SimConfig};
-use neat_repro::neat::{CheckpointStore, ErrorPolicy, IncrementalNeat, NeatConfig, RouteDistance};
+use neat_repro::neat::{
+    CheckpointStore, ErrorPolicy, FlowCluster, IncrementalNeat, NeatConfig, RouteDistance,
+};
 use neat_repro::rnet::netgen::{generate_grid_network, GridNetworkConfig};
-use neat_repro::rnet::RoadNetwork;
+use neat_repro::rnet::{RoadLocation, RoadNetwork};
 use neat_repro::traj::Dataset;
 
 const BATCHES: usize = 4;
@@ -26,14 +28,72 @@ fn fixture(seed: u64) -> (RoadNetwork, Vec<Dataset>) {
     (net.clone(), data.split_windows(BATCHES))
 }
 
-/// Flow-NEAT view: the retained flow clusters.
-fn flow_fingerprint(s: &IncrementalNeat<'_>) -> String {
-    format!("{:#?}", s.flow_clusters())
+/// Appends the canonical form of a location: its segment and every
+/// float as its bit pattern.
+fn canon_location(loc: &RoadLocation, out: &mut Vec<u64>) {
+    out.extend([
+        loc.segment.index() as u64,
+        loc.position.x.to_bits(),
+        loc.position.y.to_bits(),
+        loc.time.to_bits(),
+    ]);
 }
 
-/// Opt-NEAT view: the fully refined trajectory clusters.
-fn opt_fingerprint(s: &IncrementalNeat<'_>) -> String {
-    format!("{:#?}", s.current_clusters().expect("refinement succeeds"))
+/// Appends the canonical form of a flow cluster: every field the Debug
+/// text shows, in order, with lengths so that no two different flow
+/// lists share an encoding. Floats compare by `to_bits()`, which is no
+/// weaker than comparing their Debug text.
+fn canon_flow(flow: &FlowCluster, out: &mut Vec<u64>) {
+    out.push(flow.members().len() as u64);
+    for member in flow.members() {
+        out.push(member.segment().index() as u64);
+        out.push(member.fragments().len() as u64);
+        for f in member.fragments() {
+            out.extend([
+                f.trajectory.value(),
+                f.segment.index() as u64,
+                f.point_count as u64,
+            ]);
+            canon_location(&f.first, out);
+            canon_location(&f.last, out);
+        }
+        out.push(member.participating_trajectories().len() as u64);
+        out.extend(
+            member
+                .participating_trajectories()
+                .iter()
+                .map(|t| t.value()),
+        );
+    }
+    out.push(flow.node_chain().len() as u64);
+    out.extend(flow.node_chain().iter().map(|n| n.index() as u64));
+    out.push(flow.participating_trajectories().len() as u64);
+    out.extend(flow.participating_trajectories().iter().map(|t| t.value()));
+}
+
+fn canon_flows<'f>(flows: impl IntoIterator<Item = &'f FlowCluster>) -> Vec<u64> {
+    let mut out = Vec::new();
+    for flow in flows {
+        canon_flow(flow, &mut out);
+    }
+    out
+}
+
+/// Flow-NEAT view: the retained flow clusters.
+fn flow_fingerprint(s: &IncrementalNeat<'_>) -> Vec<u64> {
+    canon_flows(s.flow_clusters())
+}
+
+/// Opt-NEAT view: the fully refined trajectory clusters, each prefixed
+/// by its flow count.
+fn opt_fingerprint(s: &IncrementalNeat<'_>) -> Vec<u64> {
+    let clusters = s.current_clusters().expect("refinement succeeds");
+    let mut out = Vec::new();
+    for c in &clusters {
+        out.push(c.flows().len() as u64);
+        out.extend(canon_flows(c.flows()));
+    }
+    out
 }
 
 /// Runs all batches straight through, no persistence.
@@ -96,6 +156,11 @@ fn assert_resume_deterministic(config: NeatConfig, policy: ErrorPolicy, seed: u6
             opt_fingerprint(&resumed),
             ref_opt,
             "opt-NEAT diverged when interrupted after batch {interrupt_after}"
+        );
+        assert_eq!(
+            resumed.last_refinement_stats(),
+            reference.last_refinement_stats(),
+            "phase-3 stats diverged when interrupted after batch {interrupt_after}"
         );
         assert_eq!(resumed.batches(), BATCHES);
     }
@@ -164,4 +229,8 @@ fn resume_deterministic_under_parallel_phase1() {
     }
     assert_eq!(flow_fingerprint(&resumed), flow_fingerprint(&reference));
     assert_eq!(opt_fingerprint(&resumed), opt_fingerprint(&reference));
+    assert_eq!(
+        resumed.last_refinement_stats(),
+        reference.last_refinement_stats()
+    );
 }
