@@ -22,7 +22,7 @@
 
 use neat_bench::setup::{dataset, experiment_config, network, DEFAULT_SEED};
 use neat_bench::time;
-use neat_core::{Mode, Neat, NeatConfig, NeatResult};
+use neat_core::{Mode, Neat, NeatConfig};
 use neat_mobisim::{generate_dataset, SimConfig};
 use neat_rnet::netgen::{generate_grid_network, GridNetworkConfig, MapPreset};
 use neat_rnet::RoadNetwork;
@@ -89,12 +89,7 @@ fn smoke_fixture(seed: u64) -> (RoadNetwork, Dataset) {
     (net, data)
 }
 
-/// Everything order-sensitive in a result, minus timings and stats.
-fn cluster_fingerprint(r: &NeatResult) -> String {
-    format!("{:#?}\n{:#?}", r.flow_clusters, r.clusters)
-}
-
-fn run_json(label: &str, cfg: &NeatConfig, net: &RoadNetwork, data: &Dataset) -> (Value, String) {
+fn run_json(label: &str, cfg: &NeatConfig, net: &RoadNetwork, data: &Dataset) -> (Value, u64) {
     let neat = Neat::new(net, *cfg);
     let (result, wall) = time(|| neat.run(data, Mode::Opt).expect("opt-NEAT run"));
     let s = &result.phase3_stats;
@@ -117,7 +112,7 @@ fn run_json(label: &str, cfg: &NeatConfig, net: &RoadNetwork, data: &Dataset) ->
         "sp_cache_hits": s.sp_cache_hits,
         "phase3_sp_work": s.sp_computations + s.one_to_many_scans,
     });
-    (v, cluster_fingerprint(&result))
+    (v, neat_bench::result_digest(&result))
 }
 
 fn main() {

@@ -93,10 +93,11 @@ fn smoke_fixture(seed: u64) -> (RoadNetwork, Dataset) {
 }
 
 /// Everything order-sensitive in a result, minus timings and stats.
-fn cluster_fingerprint(r: &NeatResult) -> String {
-    format!(
-        "{}\n{}\n{:#?}\n{:#?}",
-        r.fragment_count, r.samples_scanned, r.flow_clusters, r.clusters
+fn cluster_fingerprint(r: &NeatResult) -> (usize, usize, u64) {
+    (
+        r.fragment_count,
+        r.samples_scanned,
+        neat_bench::result_digest(r),
     )
 }
 
@@ -107,11 +108,16 @@ const REPS: usize = 3;
 
 /// One arena-path configuration (the default `Neat::run` front end),
 /// timed best-of-[`REPS`].
-fn arena_run(label: &str, cfg: &NeatConfig, net: &RoadNetwork, data: &Dataset) -> (Value, String) {
+fn arena_run(
+    label: &str,
+    cfg: &NeatConfig,
+    net: &RoadNetwork,
+    data: &Dataset,
+) -> (Value, (usize, usize, u64)) {
     let neat = Neat::new(net, *cfg);
     let mut best_p1 = f64::MAX;
     let mut best_total = f64::MAX;
-    let mut fp: Option<String> = None;
+    let mut fp = None;
     let mut summary = json!(null);
     for _ in 0..REPS {
         let (result, wall) = time(|| neat.run(data, Mode::Opt).expect("opt-NEAT run"));
@@ -168,7 +174,7 @@ fn main() {
     let neat_ref = Neat::new(&net, ref_cfg);
     let mut ref_p1 = f64::MAX;
     let mut ref_total = f64::MAX;
-    let mut ref_fp = String::new();
+    let mut ref_fp = (0, 0, 0);
     let mut reference = json!(null);
     for _ in 0..REPS {
         let (ref_outcome, ref_wall) = time(|| {

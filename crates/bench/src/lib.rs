@@ -25,6 +25,8 @@ pub mod log;
 pub mod report;
 pub mod setup;
 
+use neat_core::{FlowCluster, NeatResult};
+use neat_rnet::RoadLocation;
 use std::time::{Duration, Instant};
 
 /// Times a closure, returning its result and the elapsed wall-clock time.
@@ -123,6 +125,69 @@ pub fn parse_args(args: &[String]) -> (f64, u64) {
 /// Scales an object count, keeping at least 10 objects.
 pub fn scaled(objects: usize, scale: f64) -> usize {
     ((objects as f64 * scale).round() as usize).max(10)
+}
+
+/// Canonical 64-bit digest of a result's flow clusters and trajectory
+/// clusters, in order: FNV-1a over every node chain, every member's
+/// segment, and every fragment's trajectory id, segment, positions and
+/// times (floats by `to_bits()`), with each list prefixed by its length.
+/// Equal digests mean bit-identical clusters for any practical purpose;
+/// the walk streams, so it costs one pass over the result.
+pub fn result_digest(r: &NeatResult) -> u64 {
+    let mut h = Fnv1a::default();
+    h.flows(&r.flow_clusters);
+    h.u64(r.clusters.len() as u64);
+    for c in &r.clusters {
+        h.flows(c.flows());
+    }
+    h.0
+}
+
+/// Streaming FNV-1a state.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn location(&mut self, loc: &RoadLocation) {
+        self.u64(loc.segment.index() as u64);
+        self.u64(loc.position.x.to_bits());
+        self.u64(loc.position.y.to_bits());
+        self.u64(loc.time.to_bits());
+    }
+
+    fn flows(&mut self, flows: &[FlowCluster]) {
+        self.u64(flows.len() as u64);
+        for f in flows {
+            self.u64(f.node_chain().len() as u64);
+            for n in f.node_chain() {
+                self.u64(n.index() as u64);
+            }
+            self.u64(f.members().len() as u64);
+            for m in f.members() {
+                self.u64(m.segment().index() as u64);
+                self.u64(m.fragments().len() as u64);
+                for frag in m.fragments() {
+                    self.u64(frag.trajectory.value());
+                    self.u64(frag.segment.index() as u64);
+                    self.location(&frag.first);
+                    self.location(&frag.last);
+                    self.u64(frag.point_count as u64);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -233,7 +233,9 @@ pub fn network_fingerprint(net: &RoadNetwork) -> u64 {
 /// that a snapshot captures. Borrowed on encode, owned on decode.
 pub(crate) struct StateParts<'s> {
     pub config: &'s NeatConfig,
-    pub net: &'s RoadNetwork,
+    /// [`network_fingerprint`] of the session's network, computed once
+    /// per session rather than per snapshot.
+    pub net_fingerprint: u64,
     pub flows: &'s [FlowCluster],
     pub batches: usize,
     pub last_stats: Phase3Stats,
@@ -296,7 +298,7 @@ fn dec_fragment(d: &mut Dec<'_>) -> Result<TFragment, DurabilityError> {
 pub(crate) fn encode_state(parts: &StateParts<'_>) -> Vec<u8> {
     let mut e = Enc::with_capacity(1024);
     e.u64(config_hash(parts.config));
-    e.u64(network_fingerprint(parts.net));
+    e.u64(parts.net_fingerprint);
     e.usize(parts.batches);
     match parts.watermark {
         Some(w) => {
@@ -342,10 +344,12 @@ fn invalid(detail: impl Into<String>) -> CheckpointError {
 }
 
 /// Decodes and validates a snapshot payload against the current network
-/// and configuration.
+/// (whose [`network_fingerprint`] the caller passes in) and
+/// configuration.
 pub(crate) fn decode_state(
     payload: &[u8],
     net: &RoadNetwork,
+    net_fingerprint: u64,
     config: &NeatConfig,
 ) -> Result<DecodedState, CheckpointError> {
     let mut d = Dec::new(payload);
@@ -358,11 +362,10 @@ pub(crate) fn decode_state(
         });
     }
     let stored_net = d.u64("network fingerprint")?;
-    let current_net = network_fingerprint(net);
-    if stored_net != current_net {
+    if stored_net != net_fingerprint {
         return Err(CheckpointError::NetworkMismatch {
             stored: stored_net,
-            current: current_net,
+            current: net_fingerprint,
         });
     }
     let batches = d.usize("batch count")?;
@@ -772,7 +775,7 @@ mod tests {
     ) -> StateParts<'s> {
         StateParts {
             config,
-            net,
+            net_fingerprint: network_fingerprint(net),
             flows,
             batches: 7,
             last_stats: Phase3Stats {
@@ -799,7 +802,7 @@ mod tests {
             skipped_ids: vec![TrajectoryId::new(41), TrajectoryId::new(42)],
         };
         let payload = encode_state(&parts(&net, &config, &flows, &res));
-        let state = decode_state(&payload, &net, &config).unwrap();
+        let state = decode_state(&payload, &net, network_fingerprint(&net), &config).unwrap();
         assert_eq!(state.flows, flows);
         assert_eq!(state.batches, 7);
         assert_eq!(state.watermark, Some(123.5));
@@ -823,7 +826,7 @@ mod tests {
             ..config
         };
         assert!(matches!(
-            decode_state(&payload, &net, &other).unwrap_err(),
+            decode_state(&payload, &net, network_fingerprint(&net), &other).unwrap_err(),
             CheckpointError::ConfigMismatch { .. }
         ));
     }
@@ -837,7 +840,7 @@ mod tests {
         let payload = encode_state(&parts(&net, &config, &flows, &res));
         let other = chain_network(9, 100.0, 10.0);
         assert!(matches!(
-            decode_state(&payload, &other, &config).unwrap_err(),
+            decode_state(&payload, &other, network_fingerprint(&other), &config).unwrap_err(),
             CheckpointError::NetworkMismatch { .. }
         ));
     }
@@ -881,7 +884,7 @@ mod tests {
         let payload = encode_state(&parts(&net, &config, &flows, &res));
         for cut in 0..payload.len() {
             assert!(
-                decode_state(&payload[..cut], &net, &config).is_err(),
+                decode_state(&payload[..cut], &net, network_fingerprint(&net), &config).is_err(),
                 "prefix of {cut} bytes decoded successfully"
             );
         }
@@ -952,7 +955,7 @@ mod tests {
         .unwrap();
         let payload = encode_state(&parts(&net, &config, std::slice::from_ref(&bad_flow), &res));
         assert!(matches!(
-            decode_state(&payload, &net, &config).unwrap_err(),
+            decode_state(&payload, &net, network_fingerprint(&net), &config).unwrap_err(),
             CheckpointError::InvalidState { .. }
         ));
     }

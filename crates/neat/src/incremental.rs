@@ -90,6 +90,9 @@ pub struct IngestOutcome {
 #[derive(Debug, Clone)]
 pub struct IncrementalNeat<'a> {
     net: &'a RoadNetwork,
+    /// [`checkpoint::network_fingerprint`] of `net`, hashed once per
+    /// session for every snapshot it writes.
+    net_fingerprint: u64,
     config: NeatConfig,
     flows: Vec<FlowCluster>,
     batches: usize,
@@ -109,8 +112,15 @@ pub struct IncrementalNeat<'a> {
 impl<'a> IncrementalNeat<'a> {
     /// Creates an online clusterer with no retained state.
     pub fn new(net: &'a RoadNetwork, config: NeatConfig) -> Self {
+        Self::empty(net, checkpoint::network_fingerprint(net), config)
+    }
+
+    /// A session with no retained state on `net`, whose fingerprint the
+    /// caller has already computed.
+    fn empty(net: &'a RoadNetwork, net_fingerprint: u64, config: NeatConfig) -> Self {
         IncrementalNeat {
             net,
+            net_fingerprint,
             config,
             flows: Vec::new(),
             batches: 0,
@@ -235,11 +245,13 @@ impl<'a> IncrementalNeat<'a> {
     /// the combined refinement, and on interrupt the call degrades
     /// gracefully instead of erroring.
     ///
-    /// The refinement runs through the session's Phase-3 cache: memo
-    /// fills are charged to `ctl` per settled node, lookups the memo
-    /// answers and landmarks built by an earlier refinement are not
-    /// charged at all (DESIGN.md §18). A warm session therefore spends
-    /// less of the budget than a cold one on the same flows.
+    /// The refinement runs through the session's Phase-3 cache. Like a
+    /// cold refinement, it charges `ctl` one settlement per node of the
+    /// expansions it actually runs, and those only fetch distances an
+    /// open decision needs; lookups the memo answers and landmarks
+    /// built by an earlier refinement are not charged at all
+    /// (DESIGN.md §18). A warm session therefore spends less of the
+    /// budget than a cold one on the same flows.
     ///
     /// State mutation is atomic: an interrupt during the batch's Phase 1
     /// or Phase 2 returns `applied == false` and leaves the retained
@@ -559,7 +571,7 @@ impl<'a> IncrementalNeat<'a> {
     ) -> Result<neat_durability::RetentionReport, CheckpointError> {
         let payload = checkpoint::encode_state(&checkpoint::StateParts {
             config: &self.config,
-            net: self.net,
+            net_fingerprint: self.net_fingerprint,
             flows: &self.flows,
             batches: self.batches,
             last_stats: self.last_stats,
@@ -624,9 +636,10 @@ impl<'a> IncrementalNeat<'a> {
             torn_tail_bytes: recovery.torn_tail_bytes,
         };
 
+        let net_fingerprint = checkpoint::network_fingerprint(net);
         let mut session = match &recovery.snapshot {
             Some((seq, payload)) => {
-                let state = checkpoint::decode_state(payload, net, &config)?;
+                let state = checkpoint::decode_state(payload, net, net_fingerprint, &config)?;
                 if state.batches as u64 != *seq {
                     return Err(CheckpointError::InvalidState {
                         detail: format!(
@@ -637,18 +650,15 @@ impl<'a> IncrementalNeat<'a> {
                     });
                 }
                 IncrementalNeat {
-                    net,
-                    config,
                     flows: state.flows,
                     batches: state.batches,
                     last_stats: state.last_stats,
                     resilience: state.resilience,
                     watermark: state.watermark,
-                    baseline: None,
-                    cache: SessionCache::default(),
+                    ..Self::empty(net, net_fingerprint, config)
                 }
             }
-            None => IncrementalNeat::new(net, config),
+            None => Self::empty(net, net_fingerprint, config),
         };
 
         let first_seq = session.batches as u64 + 1;

@@ -84,6 +84,19 @@ impl BaseCluster {
     pub fn netflow(&self, other: &BaseCluster) -> usize {
         intersection_size(&self.trajectories, &other.trajectories)
     }
+
+    /// Keeps only the fragments `keep` accepts, in order, and returns how
+    /// many were removed. The participating-trajectory set is rebuilt
+    /// only when something was.
+    pub(crate) fn retain_fragments(&mut self, keep: impl FnMut(&TFragment) -> bool) -> usize {
+        let before = self.fragments.len();
+        self.fragments.retain(keep);
+        let removed = before - self.fragments.len();
+        if removed > 0 {
+            self.trajectories = self.fragments.iter().map(|f| f.trajectory).collect();
+        }
+        removed
+    }
 }
 
 /// Size of the intersection of two ordered trajectory sets, iterating the
@@ -189,6 +202,12 @@ impl FlowCluster {
             nodes,
             trajectories,
         })
+    }
+
+    /// The members and junction chain, for callers that rebuild the flow
+    /// with [`FlowCluster::from_parts`].
+    pub(crate) fn into_parts(self) -> (Vec<BaseCluster>, Vec<NodeId>) {
+        (self.members, self.nodes)
     }
 
     /// Member base clusters in route order.

@@ -20,12 +20,14 @@
 //! * **ALT landmark bounds** ([`AltLandmarks`]): the pre-filter becomes
 //!   `max(euclidean, alt)`, which is still a lower bound on the network
 //!   distance, so it only ever skips *more* pairs — never different ones.
-//! * **Endpoint one-to-many tables**: in the default
+//! * **Demand-driven endpoint tables**: in the default
 //!   [`RouteDistance::Endpoints`] + [`SpStrategy::AStar`] configuration,
-//!   each neighbourhood scan runs one bounded one-to-many Dijkstra per
-//!   scanned endpoint and answers every candidate pair from the resulting
-//!   tables. A node absent from a table is provably farther than ε, so
-//!   the decisions equal the per-pair bounded searches they replace.
+//!   a neighbourhood scan first bounds each surviving pair's endpoint
+//!   Hausdorff distance from below. Only pairs that bound leaves open
+//!   need distances, and only to the endpoints whose own bound is within
+//!   ε; one bounded one-to-many Dijkstra per scanned endpoint fetches
+//!   those the endpoint memo lacks. The decisions equal the per-pair
+//!   bounded searches they replace.
 //! * **Deterministic parallel scans** ([`Executor`]): candidate pairs of
 //!   one neighbourhood scan are independent, so they fan out across
 //!   `config.threads` workers. Results and statistics are folded in index
@@ -33,11 +35,11 @@
 //!   protocol lands interrupts at the exact op index the sequential loop
 //!   would — the clustering output is bit-identical for any thread count.
 //!
-//! An online session ([`crate::IncrementalNeat`]) additionally keeps a
-//! session cache between refinements: the ALT landmarks, built once, and
-//! a memo of bounded endpoint distances, so a refinement only expands
-//! from an endpoint towards targets it has not measured yet. The batch
-//! entry points run cold, exactly as before (DESIGN.md §18).
+//! Every entry point refines through a [`SessionCache`] of the ALT
+//! landmarks and the endpoint memo. The batch entry points use a fresh
+//! one per refinement; an online session ([`crate::IncrementalNeat`])
+//! keeps its own between refinements, so a refinement only expands from
+//! an endpoint towards targets it has not measured yet (DESIGN.md §18).
 
 use crate::concache::{FxBuild, ShardedMap};
 use crate::config::{NeatConfig, RouteDistance, SpStrategy};
@@ -46,12 +48,11 @@ use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
 use neat_exec::Executor;
 use neat_rnet::alt::AltLandmarks;
-use neat_rnet::path::{NodeDistances, TravelMode};
+use neat_rnet::path::TravelMode;
 use neat_rnet::{NodeId, RoadNetwork, ShortestPathEngine};
 use neat_runctl::{Control, Interrupt, OverrunMode};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Instrumentation counters for the Figure-7 ablation (ELB vs Dijkstra).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -67,12 +68,16 @@ pub struct Phase3Stats {
     /// Individual point-to-point shortest-path computations performed
     /// (up to four per surviving pair, minus cache hits).
     pub sp_computations: u64,
-    /// Node-pair distance lookups answered by a memo table — the
-    /// sharded pair cache or a one-to-many endpoint table.
+    /// Node-pair distance lookups answered by a memo — the sharded pair
+    /// cache or the endpoint memo of the table path.
     pub sp_cache_hits: u64,
-    /// Bounded one-to-many Dijkstra expansions run to build endpoint
-    /// distance tables (each replaces up to `4 × candidates` bounded
-    /// point-to-point searches).
+    /// Distinct flow endpoints scanned through the endpoint-table path in
+    /// one refinement: the endpoints of every scanned flow with at least
+    /// one candidate left after the bound filter, each counted once. It
+    /// is not the number of expansions run — an endpoint whose needed
+    /// distances the memo already holds, or that needs none, runs no
+    /// expansion (see [`SessionCacheStats::expansions`]) — so it stays a
+    /// function of the flow set.
     pub one_to_many_scans: u64,
 }
 
@@ -111,22 +116,27 @@ pub struct Phase3Output {
 ///   distance `d ≤ ε`, `None` when it is farther (or unreachable).
 ///   Entries are measured by one-to-many expansions *from the source*,
 ///   and a settled node's distance does not depend on which targets the
-///   expansion was pruned to, so each entry is bit-identical to the
-///   lookup a cold endpoint table gives. Pairs whose source or target is
-///   no longer the endpoint of a retained flow are evicted at the start
-///   of every refinement, which bounds the memo by the window.
+///   expansion was pruned to, so each entry is bit-identical to what an
+///   unpruned ε-ball from the source gives. A scan only adds the pairs
+///   an open decision needs (DESIGN.md §18). Pairs whose source or
+///   target is no longer the endpoint of a retained flow are evicted at
+///   the start of every refinement, which bounds the memo by the window.
+///
+/// The batch entry points refine through a fresh cache of their own, so
+/// the session and the batch run one code path.
 ///
 /// # Budget semantics
 ///
-/// Under a [`Control`], expansions that fill the memo are charged one
-/// settlement per finalised node, exactly like the table builds they
-/// replace; lookups answered by the memo cost nothing. An interrupted
-/// fill stores no pair. The landmark build is charged to the refinement
-/// that runs it and never again; an interrupted build stores nothing
-/// and the next refinement retries it. So a warm session spends less
-/// budget than a cold one on the same flows, and a tight budget may stop
-/// it at a later point, but a refinement that completes returns the same
-/// clusters and [`Phase3Stats`] either way.
+/// Under a [`Control`], every refinement — cold or warm — is charged one
+/// settlement per node finalised by the expansions it actually runs, and
+/// nothing for lookups the memo answers or for endpoints no open
+/// decision needs. An interrupted expansion stores no pair. The landmark
+/// build is charged to the refinement that runs it and never again; an
+/// interrupted build stores nothing and the next refinement retries it.
+/// So a warm session spends less budget than a cold one on the same
+/// flows, and a tight budget may stop it at a later point, but a
+/// refinement that completes returns the same clusters and
+/// [`Phase3Stats`] either way.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SessionCache {
     alt: Option<AltLandmarks>,
@@ -148,8 +158,10 @@ struct EndpointMemo {
 pub struct SessionCacheStats {
     /// Endpoint pairs held by the distance memo.
     pub memo_pairs: usize,
-    /// One-to-many expansions the most recent refinement actually ran
-    /// (`one_to_many_scans` minus the tables the memo answered alone).
+    /// One-to-many expansions the most recent refinement actually ran:
+    /// at most one per scanned endpoint (`one_to_many_scans`), and none
+    /// for an endpoint whose needed distances the memo already held or
+    /// that no open decision needed.
     pub expansions: u64,
 }
 
@@ -181,6 +193,12 @@ impl EndpointMemo {
             .retain(|&key, _| is_live(key >> 32) && is_live(key & 0xFFFF_FFFF));
         self.expansions = 0;
     }
+
+    /// The memoised distance from `src` to `target`: `None` when it was
+    /// measured farther than ε or was never measured.
+    fn get(&self, src: NodeId, target: NodeId) -> Option<f64> {
+        self.pairs.get(&memo_key(src, target)).copied().flatten()
+    }
 }
 
 /// Directed memo key for the distance measured from `src` to `target`.
@@ -211,8 +229,9 @@ fn point_sets(
     }
 }
 
-/// Network-distance oracle: sharded symmetric-pair memo, optional ALT
-/// landmark tables and optional per-endpoint one-to-many tables.
+/// Network-distance oracle: sharded symmetric-pair memo and optional ALT
+/// landmark tables. The endpoint-table path keeps its distances in an
+/// [`EndpointMemo`] passed to each call.
 ///
 /// The oracle itself is shared (`&self`) across scan workers; mutable
 /// scratch state — the shortest-path engine and the statistics deltas —
@@ -226,18 +245,8 @@ struct DistanceOracle<'a> {
     /// computed under the shard lock, so concurrent scans compute each
     /// pair exactly once and `sp_computations` stays exact.
     pair_cache: ShardedMap<Option<f64>>,
-    /// `NodeId → bounded one-to-many table`, reused across scans that
-    /// share an endpoint.
-    tables: ShardedMap<Arc<NodeDistances>>,
     /// Landmark tables for the ALT lower bound (`None` when disabled).
     alt: Option<&'a AltLandmarks>,
-}
-
-/// The one-to-many tables of one scanned flow's two endpoints.
-struct EndpointTables {
-    ends: (NodeId, NodeId),
-    t1: Arc<NodeDistances>,
-    t2: Arc<NodeDistances>,
 }
 
 impl<'a> DistanceOracle<'a> {
@@ -372,15 +381,29 @@ impl<'a> DistanceOracle<'a> {
         let mut min_combined = f64::INFINITY;
         for &a in &xs {
             for &b in &ys {
-                let e = self.net.euclidean_distance(a, b);
+                let (e, c) = self.pair_bound(a, b);
                 min_e = min_e.min(e);
-                let c = match &self.alt {
-                    Some(alt) => e.max(alt.lower_bound(a, b)),
-                    None => e,
-                };
                 min_combined = min_combined.min(c);
             }
         }
+        self.charge_skip(min_e, min_combined, stats)
+    }
+
+    /// The Euclidean distance between `a` and `b`, and the combined lower
+    /// bound `max(euclidean, alt)` on their network distance (the
+    /// Euclidean one alone without landmarks).
+    fn pair_bound(&self, a: NodeId, b: NodeId) -> (f64, f64) {
+        let e = self.net.euclidean_distance(a, b);
+        match &self.alt {
+            Some(alt) => (e, e.max(alt.lower_bound(a, b))),
+            None => (e, e),
+        }
+    }
+
+    /// The filter verdict from the minimum Euclidean and combined bounds
+    /// over a pair's compared points, charging a skip to `elb_skips` or
+    /// `alt_skips`.
+    fn charge_skip(&self, min_e: f64, min_combined: f64, stats: &mut Phase3Stats) -> bool {
         if min_e > self.epsilon {
             stats.elb_skips += 1;
             true
@@ -392,158 +415,153 @@ impl<'a> DistanceOracle<'a> {
         }
     }
 
-    /// Every flow endpoint a table from `src` may ever be asked about:
-    /// those whose combined lower bound (Euclidean, tightened by ALT
-    /// when landmarks are loaded) does not already prove `d > ε`. The
-    /// one-to-many expansion stops once all of them are settled, which
-    /// on large networks is far earlier than the full ε-ball. The set
-    /// depends only on `src` and the fixed flow list — never on which
-    /// scan requests the table — so cached tables stay coherent.
-    fn table_targets(&self, flows: &[FlowCluster], src: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for f in flows {
-            let (b1, b2) = f.endpoints();
-            for b in [b1, b2] {
-                let e = self.net.euclidean_distance(src, b);
-                let lb = match &self.alt {
-                    Some(alt) => e.max(alt.lower_bound(src, b)),
-                    None => e,
-                };
-                if lb <= self.epsilon {
-                    out.push(b);
+    /// Per-pair lower bounds of one endpoint scan: `lik` bounds
+    /// `d_N(a_i, b_k)` between endpoint `a_i` of the scanned flow `fi`
+    /// and endpoint `b_k` of `fj` by `max(euclidean, alt)` (0 for a shared
+    /// node). Under `use_elb` the pair is filtered exactly like
+    /// [`DistanceOracle::bound_filters_out`] — same counters, same
+    /// verdict — and `None` means it was skipped. The bounds are computed
+    /// even without `use_elb`: the endpoint tables target with them.
+    fn endpoint_bounds(
+        &self,
+        fi: &FlowCluster,
+        fj: &FlowCluster,
+        stats: &mut Phase3Stats,
+    ) -> Option<EndpointBounds> {
+        let (a1, a2) = fi.endpoints();
+        let (b1, b2) = fj.endpoints();
+        let mut min_e = f64::INFINITY;
+        let mut bounds = [0.0; 4];
+        for (slot, (a, b)) in bounds
+            .iter_mut()
+            .zip([(a1, b1), (a1, b2), (a2, b1), (a2, b2)])
+        {
+            let (e, combined) = self.pair_bound(a, b);
+            min_e = min_e.min(e);
+            *slot = combined;
+        }
+        let min_combined = bounds.iter().copied().fold(f64::INFINITY, f64::min);
+        if self.use_elb && self.charge_skip(min_e, min_combined, stats) {
+            None
+        } else {
+            Some(bounds)
+        }
+    }
+
+    /// Makes the memo hold every distance an open decision of this scan
+    /// still needs, so that [`DistanceOracle::table_near`] then decides
+    /// each survivor exactly as a table over all flow endpoints would.
+    ///
+    /// A survivor whose [`hausdorff_bound`] exceeds ε is far whatever the
+    /// distances are, so it needs none. For the others, endpoint `a_i` of
+    /// the scanned flow needs each `b_k` with `lik ≤ ε`: a pair above ε is
+    /// farther without a search, and a shared node is at 0. One
+    /// target-pruned expansion per scanned endpoint runs towards the
+    /// targets the memo lacks; an interrupted one stores nothing.
+    /// `one_to_many_scans` counts each scanned endpoint once per
+    /// refinement whether or not it expanded, so the counter stays a
+    /// function of the flow set.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_memo(
+        &self,
+        engine: &mut ShortestPathEngine,
+        (a1, a2): (NodeId, NodeId),
+        survivors: impl Iterator<Item = ((NodeId, NodeId), EndpointBounds)>,
+        ctl: Option<&Control>,
+        stats: &mut Phase3Stats,
+        memo: &mut EndpointMemo,
+        scanned: &mut HashSet<NodeId, FxBuild>,
+    ) -> Result<(), Interrupt> {
+        let (mut t1, mut t2) = (Vec::new(), Vec::new());
+        for ((b1, b2), l) in survivors {
+            if hausdorff_bound(l) > self.epsilon {
+                continue;
+            }
+            let [l11, l12, l21, l22] = l;
+            for (b, l1k, l2k) in [(b1, l11, l21), (b2, l12, l22)] {
+                if l1k <= self.epsilon && b != a1 {
+                    t1.push(b);
+                }
+                if l2k <= self.epsilon && b != a2 {
+                    t2.push(b);
                 }
             }
         }
-        out.sort_unstable_by_key(|n| n.index());
-        out.dedup();
-        out
-    }
-
-    /// Fetches (building on miss) the bounded one-to-many tables for the
-    /// scanned flow's two endpoints. Table expansions are charged to
-    /// `ctl` one settlement per finalised node, exactly like the
-    /// point-to-point searches they replace.
-    #[allow(clippy::too_many_arguments)]
-    fn endpoint_tables(
-        &self,
-        engine: &mut ShortestPathEngine,
-        flows: &[FlowCluster],
-        cur: usize,
-        ctl: Option<&Control>,
-        stats: &mut Phase3Stats,
-        mut memo: Option<&mut EndpointMemo>,
-    ) -> Result<EndpointTables, Interrupt> {
-        let (a1, a2) = flows[cur].endpoints();
-        let t1 = self.table_for(engine, flows, a1, ctl, stats, memo.as_deref_mut())?;
-        let t2 = if a2 == a1 {
-            Arc::clone(&t1)
-        } else {
-            self.table_for(engine, flows, a2, ctl, stats, memo)?
-        };
-        Ok(EndpointTables {
-            ends: (a1, a2),
-            t1,
-            t2,
-        })
-    }
-
-    /// The table of `src` for this refinement, built once per
-    /// refinement. `one_to_many_scans` counts that build whether it ran
-    /// an expansion or was answered by the session memo, so the counter
-    /// stays a function of the flow set.
-    fn table_for(
-        &self,
-        engine: &mut ShortestPathEngine,
-        flows: &[FlowCluster],
-        src: NodeId,
-        ctl: Option<&Control>,
-        stats: &mut Phase3Stats,
-        memo: Option<&mut EndpointMemo>,
-    ) -> Result<Arc<NodeDistances>, Interrupt> {
-        let (table, fresh) = self.tables.try_get_or_insert_with(src.index() as u64, || {
-            let targets = self.table_targets(flows, src);
-            match memo {
-                None => engine.distances_within_targets_ctl(
-                    self.net,
-                    src,
-                    TravelMode::Undirected,
-                    self.epsilon,
-                    Some(&targets),
-                    ctl,
-                ),
-                Some(memo) => self.memo_table(engine, src, &targets, ctl, memo),
-            }
-            .map(Arc::new)
-        })?;
-        if fresh {
+        if a1 == a2 {
+            t1.append(&mut t2);
+        }
+        self.expand_toward(engine, a1, t1, ctl, memo)?;
+        if scanned.insert(a1) {
             stats.one_to_many_scans += 1;
         }
-        Ok(table)
+        if a2 != a1 {
+            self.expand_toward(engine, a2, t2, ctl, memo)?;
+            if scanned.insert(a2) {
+                stats.one_to_many_scans += 1;
+            }
+        }
+        Ok(())
     }
 
-    /// The table of `src` over `targets`, answered from the session memo.
-    /// One expansion runs for the targets the memo does not hold yet,
-    /// pruned to exactly those; its results enter the memo only when it
-    /// completes. A target absent from the returned table is farther
-    /// than ε — the same answer the cold table gives for every target.
-    fn memo_table(
+    /// One bounded expansion from `src`, pruned to the `targets` the memo
+    /// does not hold yet; none when it holds them all. Each target enters
+    /// the memo with its settled distance, or `None` when the ε-ball ran
+    /// out first. Charged to `ctl` one settlement per finalised node.
+    fn expand_toward(
         &self,
         engine: &mut ShortestPathEngine,
         src: NodeId,
-        targets: &[NodeId],
+        mut targets: Vec<NodeId>,
         ctl: Option<&Control>,
         memo: &mut EndpointMemo,
-    ) -> Result<NodeDistances, Interrupt> {
-        let missing: Vec<NodeId> = targets
-            .iter()
-            .copied()
-            .filter(|&b| !memo.pairs.contains_key(&memo_key(src, b)))
-            .collect();
-        if !missing.is_empty() {
-            let fresh = engine.distances_within_targets_ctl(
-                self.net,
-                src,
-                TravelMode::Undirected,
-                self.epsilon,
-                Some(&missing),
-                ctl,
-            )?;
-            memo.expansions += 1;
-            for &b in &missing {
-                memo.pairs.insert(memo_key(src, b), fresh.get(b));
-            }
+    ) -> Result<(), Interrupt> {
+        targets.retain(|&b| !memo.pairs.contains_key(&memo_key(src, b)));
+        if targets.is_empty() {
+            return Ok(());
         }
-        Ok(NodeDistances::from_pairs(
-            targets
-                .iter()
-                .filter_map(|&b| {
-                    let d = memo.pairs.get(&memo_key(src, b)).copied().flatten();
-                    d.map(|d| (b, d))
-                })
-                .collect(),
-        ))
+        let found = engine.distances_within_targets_ctl(
+            self.net,
+            src,
+            TravelMode::Undirected,
+            self.epsilon,
+            Some(&targets),
+            ctl,
+        )?;
+        memo.expansions += 1;
+        for b in targets {
+            memo.pairs.insert(memo_key(src, b), found.get(b));
+        }
+        Ok(())
     }
 
     /// Endpoint-pair Hausdorff decision (`d ≤ ε`) answered entirely from
-    /// the scanned flow's one-to-many tables. A node absent from a table
-    /// is strictly farther than ε from its source: either its lower
-    /// bound already proved `d > ε` (so it was never a table target) or
-    /// the target-pruned expansion ran the full ε-ball. Either way the
-    /// decision is identical to the bounded point-to-point searches of
+    /// the memo, for a survivor of the scan of the flow with endpoints
+    /// `ends` after [`DistanceOracle::fill_memo`]. A pair the memo lacks
+    /// is either provably farther than ε (its bound exceeds ε) or belongs
+    /// to a survivor whose Hausdorff bound already exceeds ε; reading it
+    /// as "farther than ε" can only raise the computed Hausdorff, so it
+    /// never turns a far pair near. The decision is therefore identical
+    /// to the bounded point-to-point searches of
     /// [`DistanceOracle::flow_distance`].
-    fn table_near(&self, tabs: &EndpointTables, fj: &FlowCluster, stats: &mut Phase3Stats) -> bool {
+    fn table_near(
+        &self,
+        memo: &EndpointMemo,
+        ends: (NodeId, NodeId),
+        fj: &FlowCluster,
+        stats: &mut Phase3Stats,
+    ) -> bool {
         let (b1, b2) = fj.endpoints();
-        let mut look = |t: &NodeDistances, a: NodeId, b: NodeId| -> Option<f64> {
+        let mut look = |a: NodeId, b: NodeId| -> Option<f64> {
             if a == b {
                 return Some(0.0);
             }
             stats.sp_cache_hits += 1;
-            t.get(b)
+            memo.get(a, b)
         };
-        let d11 = look(&tabs.t1, tabs.ends.0, b1);
-        let d12 = look(&tabs.t1, tabs.ends.0, b2);
-        let d21 = look(&tabs.t2, tabs.ends.1, b1);
-        let d22 = look(&tabs.t2, tabs.ends.1, b2);
+        let d11 = look(ends.0, b1);
+        let d12 = look(ends.0, b2);
+        let d21 = look(ends.1, b1);
+        let d22 = look(ends.1, b2);
         let min2 = |x: Option<f64>, y: Option<f64>| match (x, y) {
             (Some(p), Some(q)) => Some(p.min(q)),
             (Some(p), None) | (None, Some(p)) => Some(p),
@@ -567,6 +585,22 @@ impl<'a> DistanceOracle<'a> {
         }
         h <= self.epsilon
     }
+}
+
+/// Lower bounds `[l11, l12, l21, l22]` on the four endpoint distances of
+/// a flow pair, `lik` for `d_N(a_i, b_k)` (see
+/// [`DistanceOracle::endpoint_bounds`]).
+type EndpointBounds = [f64; 4];
+
+/// Lower bound on the endpoint Hausdorff distance of a flow pair: the
+/// Definition-11 formula of [`DistanceOracle::table_near`] over the
+/// per-pair bounds. `min` and `max` are monotone, so with every
+/// `lik ≤ d_N(a_i, b_k)` the result never exceeds the exact distance.
+fn hausdorff_bound([l11, l12, l21, l22]: EndpointBounds) -> f64 {
+    l11.min(l12)
+        .max(l21.min(l22))
+        .max(l11.min(l21))
+        .max(l12.min(l22))
 }
 
 /// Runs Phase 3: merges flow clusters whose modified Hausdorff network
@@ -771,12 +805,17 @@ pub(crate) fn refine_inner(
     flows: Vec<FlowCluster>,
     config: &NeatConfig,
     ctl: Option<&Control>,
-    mut cache: Option<&mut SessionCache>,
+    cache: Option<&mut SessionCache>,
 ) -> Result<ControlledRefinement, NeatError> {
     config.validate()?;
-    if let Some(c) = cache.as_deref_mut() {
-        c.memo.start_refinement(&flows);
-    }
+    // A cold entry point refines through a cache of its own, dropped
+    // with the refinement: one code path, and a session only adds reuse.
+    let mut cold = SessionCache::default();
+    let SessionCache {
+        alt: alt_slot,
+        memo,
+    } = cache.unwrap_or(&mut cold);
+    memo.start_refinement(&flows);
     let n = flows.len();
     if n == 0 {
         return Ok(ControlledRefinement {
@@ -811,11 +850,6 @@ pub(crate) fn refine_inner(
     // expansions, charged to `ctl` like the query-time searches whose
     // skips pay for them. Only worthwhile when the ELB filter runs. A
     // session builds them into its cache once; a cold run builds its own.
-    let mut own_alt = None;
-    let (alt_slot, mut memo) = match cache {
-        Some(c) => (&mut c.alt, Some(&mut c.memo)),
-        None => (&mut own_alt, None),
-    };
     let want_alt = config.use_elb && config.alt_landmarks > 0 && n >= 2;
     if want_alt && alt_slot.is_none() {
         match AltLandmarks::build_ctl(
@@ -848,10 +882,12 @@ pub(crate) fn refine_inner(
         epsilon: config.epsilon,
         use_elb: config.use_elb,
         pair_cache: ShardedMap::new(),
-        tables: ShardedMap::new(),
         alt,
     };
     let exec = Executor::new(config.threads);
+    // Endpoints whose scan reached the table stage this refinement
+    // (`Phase3Stats::one_to_many_scans`).
+    let mut scanned: HashSet<NodeId, FxBuild> = HashSet::default();
 
     let mut label: Vec<Option<usize>> = vec![None; n];
     let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -887,18 +923,15 @@ pub(crate) fn refine_inner(
                     // exactly one op per pair, parallelised by the
                     // deterministic executor (results and charges fold
                     // in index order, so interrupts land at the
-                    // sequential op index). The tables build *after*
-                    // the filter: a scan whose candidates are all
-                    // bound-filtered never pays for an expansion, which
-                    // is where the ALT skips turn into saved Dijkstras.
+                    // sequential op index). Expansions run *after* the
+                    // filter, and only towards the endpoints the
+                    // survivors' open decisions need: a scan whose
+                    // candidates are all bound-filtered never pays for
+                    // one, which is where the ALT skips turn into saved
+                    // Dijkstras.
                     let filter = |k: usize, ds: &mut Phase3Stats| {
                         ds.pairs_considered = 1;
-                        !oracle.bound_filters_out(
-                            &flows[cur],
-                            &flows[cands[k]],
-                            config.route_distance,
-                            ds,
-                        )
+                        oracle.endpoint_bounds(&flows[cur], &flows[cands[k]], ds)
                     };
                     let (kept, halted) = match ctl {
                         Some(c) => {
@@ -924,11 +957,11 @@ pub(crate) fn refine_inner(
                         ),
                     };
                     let done = kept.len();
-                    let mut survivors: Vec<usize> = Vec::new();
-                    for (k, (keep, ds)) in kept.into_iter().enumerate() {
+                    let mut survivors: Vec<(usize, EndpointBounds)> = Vec::new();
+                    for (k, (bounds, ds)) in kept.into_iter().enumerate() {
                         stats.absorb(&ds);
-                        if keep {
-                            survivors.push(k);
+                        if let Some(l) = bounds {
+                            survivors.push((k, l));
                         }
                     }
                     match halted {
@@ -943,7 +976,7 @@ pub(crate) fn refine_inner(
                                 // no looser by the ALT tightening). The
                                 // pair whose check fired consumed its
                                 // cancel point.
-                                for k in survivors {
+                                for (k, _) in survivors {
                                     label[cands[k]] = Some(gid);
                                     queue.push_back(cands[k]);
                                 }
@@ -965,13 +998,17 @@ pub(crate) fn refine_inner(
                         },
                         None if survivors.is_empty() => Ok(()),
                         None => {
-                            match oracle.endpoint_tables(
+                            let ends = flows[cur].endpoints();
+                            match oracle.fill_memo(
                                 &mut engine,
-                                &flows,
-                                cur,
+                                ends,
+                                survivors
+                                    .iter()
+                                    .map(|&(k, l)| (flows[cands[k]].endpoints(), l)),
                                 ctl,
                                 &mut stats,
-                                memo.as_deref_mut(),
+                                memo,
+                                &mut scanned,
                             ) {
                                 Err(why) => match ctl {
                                     Some(c) if should_degrade(why, c, false) => {
@@ -981,7 +1018,7 @@ pub(crate) fn refine_inner(
                                         // join under the ELB-only policy.
                                         degraded = Some(why);
                                         c.degrade(DEGRADE_NOTE);
-                                        for k in survivors {
+                                        for (k, _) in survivors {
                                             label[cands[k]] = Some(gid);
                                             queue.push_back(cands[k]);
                                         }
@@ -989,12 +1026,17 @@ pub(crate) fn refine_inner(
                                     }
                                     _ => Err(why),
                                 },
-                                Ok(tabs) => {
+                                Ok(()) => {
                                     // Pass 2 — exact decisions for the
-                                    // survivors: pure table lookups, no
+                                    // survivors: pure memo lookups, no
                                     // cancel points left to consume.
-                                    for k in survivors {
-                                        if oracle.table_near(&tabs, &flows[cands[k]], &mut stats) {
+                                    for (k, _) in survivors {
+                                        if oracle.table_near(
+                                            memo,
+                                            ends,
+                                            &flows[cands[k]],
+                                            &mut stats,
+                                        ) {
                                             label[cands[k]] = Some(gid);
                                             queue.push_back(cands[k]);
                                         }
@@ -1504,6 +1546,50 @@ mod tests {
         );
         assert_eq!(with_tables.stats.elb_skips, pairwise.stats.elb_skips);
         assert_eq!(with_tables.stats.alt_skips, pairwise.stats.alt_skips);
+    }
+
+    /// `H` never exceeds the exact endpoint Hausdorff distance, with and
+    /// without landmarks, on every endpoint quadruple of a jittered grid.
+    #[test]
+    fn hausdorff_bound_never_exceeds_the_exact_distance() {
+        use neat_rnet::netgen::{generate_grid_network, GridNetworkConfig};
+        let net = generate_grid_network(&GridNetworkConfig::small_test(5, 5), 3);
+        let mut engine = ShortestPathEngine::new(&net);
+        let landmarks = AltLandmarks::build(&net, &mut engine, 4);
+        let nodes: Vec<NodeId> = (0..net.node_count()).map(NodeId::new).collect();
+        let mut d = |a: NodeId, b: NodeId| engine.distance_plain(&net, a, b).unwrap();
+        let mut checked = 0;
+        for alt in [None, Some(&landmarks)] {
+            let oracle = DistanceOracle {
+                net: &net,
+                strategy: SpStrategy::AStar,
+                epsilon: 0.0,
+                use_elb: true,
+                pair_cache: ShardedMap::new(),
+                alt,
+            };
+            for (i, &a1) in nodes.iter().enumerate().step_by(3) {
+                let a2 = nodes[(i * 7 + 5) % nodes.len()];
+                for (j, &b1) in nodes.iter().enumerate().step_by(2) {
+                    let b2 = nodes[(j * 11 + 3) % nodes.len()];
+                    let pairs = [(a1, b1), (a1, b2), (a2, b1), (a2, b2)];
+                    let bounds = pairs.map(|(a, b)| oracle.pair_bound(a, b).1);
+                    let exact = pairs.map(|(a, b)| d(a, b));
+                    // A segment's stored length and the Euclidean
+                    // distance between its ends round separately, so on a
+                    // straight path the bound may exceed the path sum by
+                    // an ulp — the same slack the ELB filter has always
+                    // had. Anything beyond rounding is a broken bound.
+                    let (h, exact_h) = (hausdorff_bound(bounds), hausdorff_bound(exact));
+                    assert!(
+                        h <= exact_h * (1.0 + 1e-12),
+                        "H {h} > exact {exact_h} for {pairs:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100);
     }
 
     #[test]

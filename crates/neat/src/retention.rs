@@ -24,7 +24,7 @@
 //! are **not** checkpointed and never feed back into clustering state.
 
 use crate::model::{BaseCluster, FlowCluster, TrajectoryCluster};
-use neat_traj::TrajectoryId;
+use neat_traj::{TFragment, TrajectoryId};
 use std::collections::BTreeSet;
 
 /// A cluster-lifecycle transition between two consecutive refinement
@@ -148,30 +148,31 @@ pub(crate) struct ExpiryStats {
 /// every output flow is still a valid route. Relative flow order is
 /// preserved (runs replace their flow in place), which keeps expiry
 /// deterministic and independent of how batches were interleaved.
+///
+/// Work is proportional to what expired: a flow that loses no fragment
+/// moves through untouched, and in a flow that does, only the members
+/// that lost fragments are rebuilt.
 pub(crate) fn expire_flows(
     flows: Vec<FlowCluster>,
     watermark: f64,
 ) -> (Vec<FlowCluster>, ExpiryStats) {
+    let live = |f: &TFragment| f.last.time >= watermark;
     let mut kept = Vec::with_capacity(flows.len());
     let mut stats = ExpiryStats::default();
     for flow in flows {
-        let nodes = flow.node_chain().to_vec();
-        let mut pruned: Vec<Option<BaseCluster>> = Vec::with_capacity(flow.members().len());
-        for member in flow.members() {
-            let live: Vec<_> = member
-                .fragments()
-                .iter()
-                .filter(|f| f.last.time >= watermark)
-                .cloned()
-                .collect();
-            stats.expired_fragments += member.fragments().len() - live.len();
-            if live.is_empty() {
-                pruned.push(None);
-            } else {
-                let base = BaseCluster::new(member.segment(), live)
-                    .expect("surviving fragments come from a same-segment member"); // lint:allow(L1) reason=fragments are filtered from a member that already validated its segment
-                pruned.push(Some(base));
-            }
+        let untouched = flow
+            .members()
+            .iter()
+            .all(|m| m.fragments().iter().all(live));
+        if untouched {
+            kept.push(flow);
+            continue;
+        }
+        let (members, nodes) = flow.into_parts();
+        let mut pruned: Vec<Option<BaseCluster>> = Vec::with_capacity(members.len());
+        for mut member in members {
+            stats.expired_fragments += member.retain_fragments(live);
+            pruned.push((member.density() > 0).then_some(member));
         }
         let mut runs = 0usize;
         let mut i = 0usize;

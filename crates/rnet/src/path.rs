@@ -740,15 +740,6 @@ impl NodeDistances {
         NodeDistances { pairs: Vec::new() }
     }
 
-    /// A table over exactly the given `(node, distance)` entries — for
-    /// callers that assemble distances from their own memo of earlier
-    /// expansions. Entries are sorted by node; a node must appear once.
-    pub fn from_pairs(mut pairs: Vec<(NodeId, f64)>) -> Self {
-        pairs.sort_by_key(|(n, _)| n.index());
-        debug_assert!(pairs.windows(2).all(|w| w[0].0 != w[1].0));
-        NodeDistances { pairs }
-    }
-
     /// The exact distance to `node`, or `None` when `node` lies outside
     /// the bound the table was built with.
     pub fn get(&self, node: NodeId) -> Option<f64> {
