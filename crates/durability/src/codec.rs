@@ -10,19 +10,39 @@
 
 use crate::error::DurabilityError;
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
+/// CRC-32 (IEEE 802.3, the zlib polynomial), slice-by-8: the bulk of
+/// the input is folded eight bytes per step through eight derived
+/// tables, and the tail (fewer than eight bytes) byte by byte through
+/// the first. The values are exactly those of the classic bytewise
+/// table-driven CRC.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const T: [[u32; 256]; 8] = crc32_tables();
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = T[7][(lo & 0xFF) as usize]
+            ^ T[6][((lo >> 8) & 0xFF) as usize]
+            ^ T[5][((lo >> 16) & 0xFF) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][(hi & 0xFF) as usize]
+            ^ T[2][((hi >> 8) & 0xFF) as usize]
+            ^ T[1][((hi >> 16) & 0xFF) as usize]
+            ^ T[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ T[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slice-by-8 tables: `T[0]` is the bytewise table of the reflected
+/// polynomial `0xEDB88320`; `T[k][i]` advances `T[k - 1][i]` by one more
+/// zero byte, so `T[k]` accounts for a byte `k` positions before the end
+/// of an 8-byte block.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -35,10 +55,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// FNV-1a 64-bit hash, used for configuration hashes and road-network
@@ -69,6 +99,13 @@ impl Enc {
         Enc {
             buf: Vec::with_capacity(cap),
         }
+    }
+
+    /// Continues writing after the bytes already in `buf` (its spare
+    /// capacity is kept) — how a caller encodes straight after a
+    /// reserved frame header.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Enc { buf }
     }
 
     /// Consumes the encoder, returning the bytes.

@@ -32,6 +32,16 @@ pub trait Fs {
     /// Propagates I/O failures (including not-found).
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
+    /// Size of a file in bytes. The default reads the whole file;
+    /// implementations that can ask the file's metadata instead should.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures (including not-found).
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        self.read(path).map(|bytes| bytes.len() as u64)
+    }
+
     /// Creates/truncates `path` and durably writes `bytes`.
     ///
     /// # Errors
@@ -96,6 +106,10 @@ impl Fs for StdFs {
         let mut buf = Vec::new();
         File::open(path)?.read_to_end(&mut buf)?;
         Ok(buf)
+    }
+
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        std::fs::metadata(path).map(|m| m.len())
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -192,6 +206,14 @@ fn not_found(path: &Path) -> io::Error {
 impl Fs for MemFs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         self.with(|m| m.get(path).cloned().ok_or_else(|| not_found(path)))
+    }
+
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        self.with(|m| {
+            m.get(path)
+                .map(|bytes| bytes.len() as u64)
+                .ok_or_else(|| not_found(path))
+        })
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -312,6 +334,7 @@ mod tests {
         StdFs.write(&p, b"one").unwrap();
         StdFs.append(&p, b"two").unwrap();
         assert_eq!(StdFs.read(&p).unwrap(), b"onetwo");
+        assert_eq!(StdFs.len(&p).unwrap(), 6);
         assert!(StdFs.exists(&p));
         let listed = StdFs.list(&dir).unwrap();
         assert!(listed.contains(&p));
@@ -339,6 +362,11 @@ mod tests {
         assert_eq!(other.read(Path::new("/d/a")).unwrap(), b"x");
         other.append(Path::new("/d/a"), b"y").unwrap();
         assert_eq!(fs.read(Path::new("/d/a")).unwrap(), b"xy");
+        assert_eq!(fs.len(Path::new("/d/a")).unwrap(), 2);
+        assert_eq!(
+            fs.len(Path::new("/d/missing")).unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use crate::codec::crc32;
 use crate::error::DurabilityError;
 use crate::fs::Fs;
+use std::ops::Range;
 use std::path::Path;
 
 /// Magic bytes opening every journal record.
@@ -79,13 +80,53 @@ pub fn read_journal<F: Fs>(fs: &F, path: &Path) -> Result<JournalScan, Durabilit
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(JournalScan::default()),
         Err(e) => return Err(DurabilityError::io("read", path, e)),
     };
-    let mut scan = JournalScan::default();
+    Ok(scan_records(path, &bytes)?.to_scan(&bytes))
+}
+
+/// Where the records of a journal file lie, without copying them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecordSpans {
+    /// Byte range of every complete, checksum-valid record — header and
+    /// payload — in file order. The ranges are contiguous from offset 0.
+    pub records: Vec<Range<usize>>,
+    /// Bytes of an incomplete final record after the last range
+    /// (0 when the file ended exactly on a record boundary).
+    pub torn_tail_bytes: usize,
+}
+
+impl RecordSpans {
+    /// The payloads of the records in `bytes` (the scanned contents), in
+    /// file order.
+    pub fn payloads<'a>(&'a self, bytes: &'a [u8]) -> impl Iterator<Item = &'a [u8]> + 'a {
+        self.records
+            .iter()
+            .map(move |r| &bytes[r.start + RECORD_HEADER_LEN..r.end])
+    }
+
+    /// Copies the payloads out of `bytes` (the scanned contents).
+    pub fn to_scan(&self, bytes: &[u8]) -> JournalScan {
+        JournalScan {
+            records: self.payloads(bytes).map(<[u8]>::to_vec).collect(),
+            torn_tail_bytes: self.torn_tail_bytes,
+        }
+    }
+}
+
+/// Validates the journal file contents `bytes` and locates its records.
+/// `path` is only used for error messages.
+///
+/// # Errors
+///
+/// [`DurabilityError::Corrupt`] on interior corruption (bad magic or
+/// CRC on a complete record).
+pub fn scan_records(path: &Path, bytes: &[u8]) -> Result<RecordSpans, DurabilityError> {
+    let mut spans = RecordSpans::default();
     let mut pos = 0usize;
     while pos < bytes.len() {
         let rest = &bytes[pos..];
         if rest.len() < RECORD_HEADER_LEN {
             // Header itself is incomplete: torn tail.
-            scan.torn_tail_bytes = rest.len();
+            spans.torn_tail_bytes = rest.len();
             break;
         }
         if rest[..4] != RECORD_MAGIC {
@@ -102,7 +143,7 @@ pub fn read_journal<F: Fs>(fs: &F, path: &Path) -> Result<JournalScan, Durabilit
         let declared_crc = u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]);
         if rest.len() < RECORD_HEADER_LEN + len {
             // Payload is incomplete: torn tail.
-            scan.torn_tail_bytes = rest.len();
+            spans.torn_tail_bytes = rest.len();
             break;
         }
         let payload = &rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len];
@@ -119,10 +160,11 @@ pub fn read_journal<F: Fs>(fs: &F, path: &Path) -> Result<JournalScan, Durabilit
                 ),
             });
         }
-        scan.records.push(payload.to_vec());
-        pos += RECORD_HEADER_LEN + len;
+        let end = pos + RECORD_HEADER_LEN + len;
+        spans.records.push(pos..end);
+        pos = end;
     }
-    Ok(scan)
+    Ok(spans)
 }
 
 #[cfg(test)]

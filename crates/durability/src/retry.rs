@@ -391,6 +391,10 @@ impl<F: Fs, B: Backoff> Fs for RetryFs<F, B> {
         self.run(|| self.inner.read(path))
     }
 
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        self.run(|| self.inner.len(path))
+    }
+
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.run(|| self.inner.write(path, bytes))
     }

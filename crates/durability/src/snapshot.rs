@@ -27,13 +27,53 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NEATSNAP";
 /// Fixed header size preceding the payload.
 pub const SNAPSHOT_HEADER_LEN: usize = 8 + 4 + 8 + 4;
 
-/// Frames `payload` into the snapshot container format.
+/// A buffer for building a snapshot in place: [`SNAPSHOT_HEADER_LEN`]
+/// zero bytes reserved for the header, with room for `payload_capacity`
+/// payload bytes after it. Append the payload, then seal the buffer with
+/// [`frame_in_place`] — the payload is never copied into a second buffer.
+pub fn buffer_with_header(payload_capacity: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload_capacity);
+    buf.resize(SNAPSHOT_HEADER_LEN, 0);
+    buf
+}
+
+/// The header that frames `payload`.
+fn header(version: u32, payload: &[u8]) -> [u8; SNAPSHOT_HEADER_LEN] {
+    let mut h = [0u8; SNAPSHOT_HEADER_LEN];
+    h[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    h[8..12].copy_from_slice(&version.to_le_bytes());
+    h[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    h[20..].copy_from_slice(&crc32(payload).to_le_bytes());
+    h
+}
+
+/// Seals a buffer laid out by [`buffer_with_header`]: writes magic,
+/// version, the length and the CRC of everything after the first
+/// [`SNAPSHOT_HEADER_LEN`] bytes into those first bytes.
+///
+/// # Errors
+///
+/// [`DurabilityError::Malformed`] when `framed` is shorter than the
+/// header it must hold.
+pub fn frame_in_place(version: u32, framed: &mut [u8]) -> Result<(), DurabilityError> {
+    let Some((head, payload)) = framed.split_at_mut_checked(SNAPSHOT_HEADER_LEN) else {
+        return Err(DurabilityError::Malformed {
+            context: "snapshot frame".to_string(),
+            detail: format!(
+                "{} bytes cannot hold the {SNAPSHOT_HEADER_LEN}-byte header",
+                framed.len()
+            ),
+        });
+    };
+    head.copy_from_slice(&header(version, payload));
+    Ok(())
+}
+
+/// Frames a payload held in its own buffer into the snapshot container
+/// format (one copy of the payload; [`frame_in_place`] needs none).
 pub fn encode_snapshot(version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&header(version, payload));
     out.extend_from_slice(payload);
     out
 }
@@ -121,6 +161,21 @@ mod tests {
         let payload = b"the retained flows";
         let framed = encode_snapshot(V, payload);
         assert_eq!(decode_snapshot(p(), V, &framed).unwrap(), payload);
+    }
+
+    #[test]
+    fn framing_in_place_matches_the_copying_frame() {
+        for payload in [&b""[..], b"x", b"the retained flows"] {
+            let mut buf = buffer_with_header(payload.len());
+            buf.extend_from_slice(payload);
+            frame_in_place(V, &mut buf).unwrap();
+            assert_eq!(buf, encode_snapshot(V, payload));
+        }
+        let mut short = [0u8; SNAPSHOT_HEADER_LEN - 1];
+        assert!(matches!(
+            frame_in_place(V, &mut short).unwrap_err(),
+            DurabilityError::Malformed { .. }
+        ));
     }
 
     #[test]

@@ -33,9 +33,10 @@
 
 use crate::error::DurabilityError;
 use crate::fs::{is_tmp, write_atomic, Fs};
-use crate::journal::{append_record, encode_record, read_journal, JournalScan};
-use crate::snapshot::{decode_snapshot, encode_snapshot};
+use crate::journal::{append_record, scan_records, JournalScan, RecordSpans};
+use crate::snapshot::{buffer_with_header, decode_snapshot, frame_in_place, SNAPSHOT_HEADER_LEN};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File name of journal segment 0 (the pre-segmentation journal name,
@@ -204,14 +205,20 @@ impl<F: Fs> Store<F> {
     pub fn journal_bytes(&self) -> Result<usize, DurabilityError> {
         let mut total = 0usize;
         for idx in self.journal_segments()? {
-            let path = self.segment_path(idx);
-            match self.fs.read(&path) {
-                Ok(bytes) => total += bytes.len(),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(DurabilityError::io("read", &path, e)),
-            }
+            total += self.segment_len(idx)?;
         }
         Ok(total)
+    }
+
+    /// Size of journal segment `idx` in bytes (0 when it is absent),
+    /// from the file's metadata rather than its contents.
+    fn segment_len(&self, idx: u64) -> Result<usize, DurabilityError> {
+        let path = self.segment_path(idx);
+        match self.fs.len(&path) {
+            Ok(len) => Ok(len as usize),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+            Err(e) => Err(DurabilityError::io("len", &path, e)),
+        }
     }
 
     fn snapshot_path(&self, seq: u64) -> PathBuf {
@@ -245,11 +252,35 @@ impl<F: Fs> Store<F> {
         Ok(seqs)
     }
 
-    /// Atomically writes a snapshot covering everything up to and
-    /// including sequence `seq`, then applies the retention policy:
+    /// Frames `payload` and writes it as the snapshot for `seq`; see
+    /// [`Store::write_snapshot_framed`], which this forwards to after
+    /// copying the payload behind a header. A caller that builds its
+    /// payload anyway should build it behind a reserved header
+    /// ([`buffer_with_header`]) and call
+    /// [`Store::write_snapshot_framed`] directly, copying nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Store::write_snapshot_framed`].
+    pub fn write_snapshot(
+        &self,
+        seq: u64,
+        payload: &[u8],
+    ) -> Result<RetentionReport, DurabilityError> {
+        let mut framed = buffer_with_header(payload.len());
+        framed.extend_from_slice(payload);
+        self.write_snapshot_framed(seq, framed)
+    }
+
+    /// Seals `framed` — [`SNAPSHOT_HEADER_LEN`] reserved bytes followed
+    /// by the payload — in place with
+    /// [`frame_in_place`](crate::snapshot::frame_in_place), atomically
+    /// writes it as a snapshot covering everything up to and including
+    /// sequence `seq`, then applies the retention policy:
     /// snapshots older than the newest [`RETAIN_SNAPSHOTS`] are removed
     /// and the journal is compacted to records with `seq` greater than
-    /// the *previous* retained snapshot.
+    /// the *previous* retained snapshot. The buffer is freed once the
+    /// snapshot has landed, before compaction allocates its own.
     ///
     /// The write is crash-safe at every step: the snapshot lands via
     /// temp + rename, compaction writes a fresh segment before removing
@@ -265,13 +296,15 @@ impl<F: Fs> Store<F> {
     /// snapshot is durable, the old segments keep the store loadable,
     /// and the failure is surfaced in [`RetentionReport::error`] for the
     /// caller to count and retry.
-    pub fn write_snapshot(
+    pub fn write_snapshot_framed(
         &self,
         seq: u64,
-        payload: &[u8],
+        mut framed: Vec<u8>,
     ) -> Result<RetentionReport, DurabilityError> {
-        let framed = encode_snapshot(self.version, payload);
+        frame_in_place(self.version, &mut framed)?;
         write_atomic(&self.fs, &self.snapshot_path(seq), &framed)?;
+        // Free the snapshot before compaction allocates its own buffers.
+        drop(framed);
         Ok(self.apply_retention())
     }
 
@@ -333,29 +366,37 @@ impl<F: Fs> Store<F> {
     /// segment with nothing to drop — compacting then would only churn
     /// segment indices.
     ///
+    /// Memory: the rewrite never holds more than one old segment at a
+    /// time. A first pass indexes where each live record lies; a second
+    /// copies those records, already framed and checksummed, byte for
+    /// byte into one buffer sized up front.
+    ///
     /// # Errors
     ///
     /// [`DurabilityError::Io`] on filesystem failure (the store stays
     /// loadable from the old segments), [`DurabilityError::Corrupt`] /
     /// [`DurabilityError::Malformed`] on unreadable records.
     pub fn compact_journal(&self, cutoff: u64) -> Result<CompactionOutcome, DurabilityError> {
-        let segments = self.scan_segments()?;
-        let mut live: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let idxs = self.journal_segments()?;
+        // Pass 1: where each live sequence's record lies (a later
+        // segment's copy wins, as on load).
+        let mut live: BTreeMap<u64, (u64, Range<usize>)> = BTreeMap::new();
         let mut dropped = 0usize;
         let mut total = 0usize;
-        for (idx, scan) in &segments {
-            for payload in &scan.records {
+        for &idx in &idxs {
+            let (bytes, spans) = self.read_segment(idx)?;
+            for (span, payload) in spans.records.iter().zip(spans.payloads(&bytes)) {
                 total += 1;
                 match record_seq(payload) {
                     Some(seq) if seq <= cutoff => dropped += 1,
                     Some(seq) => {
-                        live.insert(seq, payload.clone());
+                        live.insert(seq, (idx, span.clone()));
                     }
                     None => {
                         return Err(DurabilityError::Malformed {
                             context: format!(
                                 "journal record in {}",
-                                self.segment_path(*idx).display()
+                                self.segment_path(idx).display()
                             ),
                             detail: format!(
                                 "{} bytes is too short for a sequence tag",
@@ -366,33 +407,55 @@ impl<F: Fs> Store<F> {
                 }
             }
         }
-        let duplicates = total - dropped - live.len();
-        if segments.len() <= 1 && dropped == 0 && duplicates == 0 {
+        let live_records = live.len();
+        let duplicates = total - dropped - live_records;
+        if idxs.len() <= 1 && dropped == 0 && duplicates == 0 {
             return Ok(CompactionOutcome::default()); // nothing worth rewriting
         }
 
-        let max_idx = segments.last().map(|(idx, _)| *idx).unwrap_or(0);
+        let max_idx = idxs.last().copied().unwrap_or(0);
         let mut removed = 0usize;
         let new_segment = if live.is_empty() {
             None
         } else {
+            // Pass 2: copy the live records in sequence order. Appends
+            // keep sequences ascending across segments, so each segment
+            // is read once unless crash leftovers interleave them.
             let idx = max_idx + 1;
-            let mut bytes = Vec::new();
-            for payload in live.values() {
-                bytes.extend_from_slice(&encode_record(payload));
+            let mut bytes = Vec::with_capacity(live.values().map(|(_, span)| span.len()).sum());
+            let mut loaded: Option<(u64, Vec<u8>)> = None;
+            for (seg, span) in live.into_values() {
+                let path = self.segment_path(seg);
+                if loaded.as_ref().map(|(i, _)| *i) != Some(seg) {
+                    drop(loaded.take()); // free the previous segment first
+                    let data = self
+                        .fs
+                        .read(&path)
+                        .map_err(|e| DurabilityError::io("read", &path, e))?;
+                    loaded = Some((seg, data));
+                }
+                let Some(record) = loaded.as_ref().and_then(|(_, data)| data.get(span)) else {
+                    return Err(DurabilityError::Corrupt {
+                        path: path.display().to_string(),
+                        offset: 0,
+                        detail: "segment shrank while it was being compacted".to_string(),
+                    });
+                };
+                bytes.extend_from_slice(record);
             }
+            drop(loaded);
             write_atomic(&self.fs, &self.segment_path(idx), &bytes)?;
             Some(idx)
         };
-        for (idx, _) in &segments {
-            let path = self.segment_path(*idx);
+        for idx in idxs {
+            let path = self.segment_path(idx);
             self.fs
                 .remove_file(&path)
                 .map_err(|e| DurabilityError::io("remove_file", &path, e))?;
             removed += 1;
         }
         Ok(CompactionOutcome {
-            live_records: live.len(),
+            live_records,
             dropped_records: dropped,
             segments_removed: removed,
             new_segment,
@@ -418,36 +481,42 @@ impl<F: Fs> Store<F> {
     fn append_target(&self) -> Result<PathBuf, DurabilityError> {
         let idxs = self.journal_segments()?;
         let current = idxs.last().copied().unwrap_or(0);
-        let path = self.segment_path(current);
-        let size = match self.fs.read(&path) {
-            Ok(bytes) => bytes.len(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(DurabilityError::io("read", &path, e)),
-        };
-        if size >= self.roll_bytes {
+        if self.segment_len(current)? >= self.roll_bytes {
             Ok(self.segment_path(current + 1))
         } else {
-            Ok(path)
+            Ok(self.segment_path(current))
         }
     }
 
-    /// Reads every journal segment ascending, truncating torn tails on
-    /// disk as they are found (same atomic-rewrite repair [`Store::load`]
-    /// documents). Returns `(segment index, scan)` pairs with the
-    /// tails already dropped from the scans.
+    /// Reads journal segment `idx` (empty when absent) and locates its
+    /// records. A torn tail is truncated on disk as it is found (the
+    /// atomic-rewrite repair [`Store::load`] documents) and is not part
+    /// of the returned bytes.
+    fn read_segment(&self, idx: u64) -> Result<(Vec<u8>, RecordSpans), DurabilityError> {
+        let path = self.segment_path(idx);
+        let mut bytes = match self.fs.read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(DurabilityError::io("read", &path, e)),
+        };
+        let spans = scan_records(&path, &bytes)?;
+        if spans.torn_tail_bytes > 0 {
+            // The records before the tail are exactly the bytes before it.
+            bytes.truncate(bytes.len() - spans.torn_tail_bytes);
+            write_atomic(&self.fs, &path, &bytes)?;
+        }
+        Ok((bytes, spans))
+    }
+
+    /// Reads every journal segment ascending (see
+    /// [`Store::read_segment`] for the torn-tail repair). Returns
+    /// `(segment index, scan)` pairs with the tails already dropped from
+    /// the scans.
     fn scan_segments(&self) -> Result<Vec<(u64, JournalScan)>, DurabilityError> {
         let mut segments = Vec::new();
         for idx in self.journal_segments()? {
-            let path = self.segment_path(idx);
-            let scan = read_journal(&self.fs, &path)?;
-            if scan.torn_tail_bytes > 0 {
-                let mut kept = Vec::new();
-                for payload in &scan.records {
-                    kept.extend_from_slice(&encode_record(payload));
-                }
-                write_atomic(&self.fs, &path, &kept)?;
-            }
-            segments.push((idx, scan));
+            let (bytes, spans) = self.read_segment(idx)?;
+            segments.push((idx, spans.to_scan(&bytes)));
         }
         Ok(segments)
     }
@@ -463,7 +532,7 @@ impl<F: Fs> Store<F> {
     /// Same as [`Store::load`] for the journal half.
     pub fn journal_records(&self) -> Result<Vec<JournalEntry>, DurabilityError> {
         let segments = self.scan_segments()?;
-        let merged = merge_segments(&segments, u64::MAX, |idx| self.segment_path(idx))?;
+        let merged = merge_segments(segments, u64::MAX, |idx| self.segment_path(idx))?;
         Ok(merged
             .into_iter()
             .map(|(seq, (_, payload))| JournalEntry { seq, payload })
@@ -498,7 +567,7 @@ impl<F: Fs> Store<F> {
         seqs.reverse(); // newest first
         for seq in seqs {
             let path = self.snapshot_path(seq);
-            let bytes = match self.fs.read(&path) {
+            let mut bytes = match self.fs.read(&path) {
                 Ok(b) => b,
                 Err(e) => {
                     recovery
@@ -508,8 +577,11 @@ impl<F: Fs> Store<F> {
                 }
             };
             match decode_snapshot(&path, self.version, &bytes) {
-                Ok(payload) => {
-                    recovery.snapshot = Some((seq, payload.to_vec()));
+                Ok(_) => {
+                    // Validated: strip the header in place rather than
+                    // copying the payload out.
+                    bytes.drain(..SNAPSHOT_HEADER_LEN);
+                    recovery.snapshot = Some((seq, bytes));
                     break;
                 }
                 Err(e) => {
@@ -523,7 +595,7 @@ impl<F: Fs> Store<F> {
         let segments = self.scan_segments()?;
         recovery.torn_tail_bytes = segments.iter().map(|(_, s)| s.torn_tail_bytes).sum();
         let floor = recovery.snapshot.as_ref().map(|(s, _)| *s).unwrap_or(0);
-        let merged = merge_segments(&segments, floor, |idx| self.segment_path(idx))?;
+        let merged = merge_segments(segments, floor, |idx| self.segment_path(idx))?;
         recovery.journal = merged
             .into_iter()
             .filter(|(seq, _)| *seq > floor)
@@ -547,38 +619,39 @@ impl<F: Fs> Store<F> {
 /// * different segments, differing payloads — [`DurabilityError::Corrupt`]:
 ///   two histories disagree and neither can be trusted.
 fn merge_segments(
-    segments: &[(u64, JournalScan)],
+    segments: Vec<(u64, JournalScan)>,
     floor: u64,
     segment_path: impl Fn(u64) -> PathBuf,
 ) -> Result<BTreeMap<u64, (u64, Vec<u8>)>, DurabilityError> {
     let mut by_seq: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
     for (idx, scan) in segments {
-        for payload in &scan.records {
-            let Some(seq) = record_seq(payload) else {
+        for mut body in scan.records {
+            let Some(seq) = record_seq(&body) else {
                 return Err(DurabilityError::Malformed {
-                    context: format!("journal record in {}", segment_path(*idx).display()),
-                    detail: format!("{} bytes is too short for a sequence tag", payload.len()),
+                    context: format!("journal record in {}", segment_path(idx).display()),
+                    detail: format!("{} bytes is too short for a sequence tag", body.len()),
                 });
             };
-            let body = payload[8..].to_vec();
+            // Strip the sequence tag in place; the payload is not copied.
+            body.drain(..8);
             if let Some((prev_idx, prev_body)) = by_seq.get(&seq) {
-                if prev_idx == idx {
+                if *prev_idx == idx {
                     if seq > floor {
                         return Err(DurabilityError::Corrupt {
-                            path: segment_path(*idx).display().to_string(),
+                            path: segment_path(idx).display().to_string(),
                             offset: 0,
                             detail: format!("sequence {seq} recorded twice"),
                         });
                     }
                 } else if *prev_body != body {
                     return Err(DurabilityError::Corrupt {
-                        path: segment_path(*idx).display().to_string(),
+                        path: segment_path(idx).display().to_string(),
                         offset: 0,
                         detail: format!("sequence {seq} differs across journal segments"),
                     });
                 }
             }
-            by_seq.insert(seq, (*idx, body));
+            by_seq.insert(seq, (idx, body));
         }
     }
     Ok(by_seq)
@@ -775,6 +848,33 @@ mod tests {
         assert_eq!(outcome.new_segment, None);
         assert!(s.journal_segments().unwrap().is_empty());
         assert!(s.load().unwrap().journal.is_empty());
+    }
+
+    #[test]
+    fn compaction_copies_interleaved_segments_in_sequence_order() {
+        let s = store();
+        let tagged = |seq: u64| {
+            let mut t = seq.to_le_bytes().to_vec();
+            t.extend_from_slice(format!("batch-{seq}").as_bytes());
+            t
+        };
+        // Odd sequences in segment 0, even ones in segment 1, so the
+        // sequence-ordered copy alternates between the two files.
+        for seq in 1..=6u64 {
+            let path = s.segment_path(1 - seq % 2);
+            s.fs()
+                .append(&path, &crate::journal::encode_record(&tagged(seq)))
+                .unwrap();
+        }
+        let outcome = s.compact_journal(1).unwrap();
+        assert_eq!(outcome.live_records, 5);
+        assert_eq!(outcome.dropped_records, 1);
+        let mut want = Vec::new();
+        for seq in 2..=6u64 {
+            want.extend_from_slice(&crate::journal::encode_record(&tagged(seq)));
+        }
+        let got = s.fs().read(&s.segment_path(outcome.new_segment.unwrap()));
+        assert_eq!(got.unwrap(), want);
     }
 
     #[test]

@@ -479,6 +479,11 @@ impl Fs for FaultFs {
         self.inner.read(path)
     }
 
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        self.ensure_alive()?;
+        self.inner.len(path)
+    }
+
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.apply_payload_op(bytes, |b| self.inner.write(path, b))
     }

@@ -50,6 +50,7 @@ use crate::model::{BaseCluster, FlowCluster};
 use crate::phase1::ResilienceCounters;
 use crate::phase3::Phase3Stats;
 use neat_durability::fs::Fs;
+use neat_durability::snapshot::buffer_with_header;
 use neat_durability::store::Store;
 use neat_durability::{fnv64, Dec, DurabilityError, Enc};
 use neat_rnet::{NodeId, RoadLocation, RoadNetwork, SegmentId};
@@ -280,8 +281,9 @@ fn enc_fragment(e: &mut Enc, f: &TFragment) {
     e.usize(f.point_count);
 }
 
-/// Minimum encoded size of one t-fragment (for count validation).
-const FRAGMENT_MIN_LEN: usize = 8 + 4 + 28 + 28 + 8;
+/// Encoded size of one t-fragment ([`enc_fragment`]), which is also the
+/// minimum [`dec_fragment`] validates counts against.
+const FRAGMENT_LEN: usize = 8 + 4 + 28 + 28 + 8;
 
 fn dec_fragment(d: &mut Dec<'_>) -> Result<TFragment, DurabilityError> {
     const CTX: &str = "t-fragment";
@@ -294,9 +296,36 @@ fn dec_fragment(d: &mut Dec<'_>) -> Result<TFragment, DurabilityError> {
     })
 }
 
-/// Encodes the full online-clusterer state into a snapshot payload.
+/// Exact size of the payload [`encode_state`] writes for `parts`,
+/// computed from the flow, member, fragment and node counts.
+fn encoded_state_len(parts: &StateParts<'_>) -> usize {
+    // Config hash, network fingerprint, batch count, watermark flag and
+    // value, flow count.
+    let head = 8 + 8 + 8 + 1 + if parts.watermark.is_some() { 8 } else { 0 } + 8;
+    let flows: usize = parts
+        .flows
+        .iter()
+        .map(|flow| {
+            let members: usize = flow
+                .members()
+                .iter()
+                .map(|m| 4 + 8 + FRAGMENT_LEN * m.fragments().len())
+                .sum();
+            8 + members + 8 + 4 * flow.node_chain().len()
+        })
+        .sum();
+    // Resilience counters and skipped ids, then six Phase-3 counters.
+    let tail = 8 + 8 + 8 + 8 * parts.resilience.skipped_ids.len() + 6 * 8;
+    head + flows + tail
+}
+
+/// Encodes the full online-clusterer state as a snapshot buffer: the
+/// payload follows a reserved snapshot header
+/// ([`buffer_with_header`](neat_durability::snapshot::buffer_with_header)),
+/// in one allocation sized exactly up front, ready for
+/// [`Store::write_snapshot_framed`] to seal and write without a copy.
 pub(crate) fn encode_state(parts: &StateParts<'_>) -> Vec<u8> {
-    let mut e = Enc::with_capacity(1024);
+    let mut e = Enc::from_vec(buffer_with_header(encoded_state_len(parts)));
     e.u64(config_hash(parts.config));
     e.u64(parts.net_fingerprint);
     e.usize(parts.batches);
@@ -385,7 +414,7 @@ pub(crate) fn decode_state(
         let mut members = Vec::with_capacity(member_count);
         for _ in 0..member_count {
             let segment = SegmentId::new(d.u32("member segment")? as usize);
-            let frag_count = d.count("fragment count", FRAGMENT_MIN_LEN)?;
+            let frag_count = d.count("fragment count", FRAGMENT_LEN)?;
             let mut fragments = Vec::with_capacity(frag_count);
             for _ in 0..frag_count {
                 fragments.push(dec_fragment(&mut d)?);
@@ -743,6 +772,7 @@ pub struct ResumeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neat_durability::snapshot::SNAPSHOT_HEADER_LEN;
     use neat_rnet::netgen::chain_network;
     use neat_rnet::Point;
 
@@ -765,6 +795,11 @@ mod tests {
         let b5 = BaseCluster::new(SegmentId::new(5), vec![frag(9, 5, 510.0)]).unwrap();
         let g = FlowCluster::from_base(net, b5).unwrap();
         vec![f, g]
+    }
+
+    /// The bare payload of an encoded snapshot buffer.
+    fn payload_of(parts: &StateParts<'_>) -> Vec<u8> {
+        encode_state(parts)[SNAPSHOT_HEADER_LEN..].to_vec()
     }
 
     fn parts<'s>(
@@ -801,7 +836,7 @@ mod tests {
             repaired: 1,
             skipped_ids: vec![TrajectoryId::new(41), TrajectoryId::new(42)],
         };
-        let payload = encode_state(&parts(&net, &config, &flows, &res));
+        let payload = payload_of(&parts(&net, &config, &flows, &res));
         let state = decode_state(&payload, &net, network_fingerprint(&net), &config).unwrap();
         assert_eq!(state.flows, flows);
         assert_eq!(state.batches, 7);
@@ -809,8 +844,19 @@ mod tests {
         assert_eq!(state.last_stats.pairs_considered, 10);
         assert_eq!(state.resilience.skipped, 2);
         assert_eq!(state.resilience.skipped_ids, res.skipped_ids);
+        // The buffer is sized exactly (header plus payload, no growth)
+        // with or without a watermark, and the header is left reserved.
+        for watermark in [Some(123.5), None] {
+            let p = StateParts {
+                watermark,
+                ..parts(&net, &config, &flows, &res)
+            };
+            let framed = encode_state(&p);
+            assert_eq!(framed.len(), SNAPSHOT_HEADER_LEN + encoded_state_len(&p));
+            assert!(framed[..SNAPSHOT_HEADER_LEN].iter().all(|&b| b == 0));
+        }
         // Encoding the decoded state reproduces the same bytes.
-        let again = encode_state(&parts(&net, &config, &state.flows, &state.resilience));
+        let again = payload_of(&parts(&net, &config, &state.flows, &state.resilience));
         assert_eq!(again, payload);
     }
 
@@ -820,7 +866,7 @@ mod tests {
         let config = NeatConfig::default();
         let flows = sample_flows(&net);
         let res = ResilienceCounters::default();
-        let payload = encode_state(&parts(&net, &config, &flows, &res));
+        let payload = payload_of(&parts(&net, &config, &flows, &res));
         let other = NeatConfig {
             epsilon: 123.0,
             ..config
@@ -837,7 +883,7 @@ mod tests {
         let config = NeatConfig::default();
         let flows = sample_flows(&net);
         let res = ResilienceCounters::default();
-        let payload = encode_state(&parts(&net, &config, &flows, &res));
+        let payload = payload_of(&parts(&net, &config, &flows, &res));
         let other = chain_network(9, 100.0, 10.0);
         assert!(matches!(
             decode_state(&payload, &other, network_fingerprint(&other), &config).unwrap_err(),
@@ -881,7 +927,7 @@ mod tests {
         let config = NeatConfig::default();
         let flows = sample_flows(&net);
         let res = ResilienceCounters::default();
-        let payload = encode_state(&parts(&net, &config, &flows, &res));
+        let payload = payload_of(&parts(&net, &config, &flows, &res));
         for cut in 0..payload.len() {
             assert!(
                 decode_state(&payload[..cut], &net, network_fingerprint(&net), &config).is_err(),
@@ -953,7 +999,7 @@ mod tests {
             vec![NodeId::new(5), NodeId::new(6)], // wrong endpoints for segment 0
         )
         .unwrap();
-        let payload = encode_state(&parts(&net, &config, std::slice::from_ref(&bad_flow), &res));
+        let payload = payload_of(&parts(&net, &config, std::slice::from_ref(&bad_flow), &res));
         assert!(matches!(
             decode_state(&payload, &net, network_fingerprint(&net), &config).unwrap_err(),
             CheckpointError::InvalidState { .. }

@@ -569,7 +569,7 @@ impl<'a> IncrementalNeat<'a> {
         &self,
         store: &CheckpointStore<F>,
     ) -> Result<neat_durability::RetentionReport, CheckpointError> {
-        let payload = checkpoint::encode_state(&checkpoint::StateParts {
+        let framed = checkpoint::encode_state(&checkpoint::StateParts {
             config: &self.config,
             net_fingerprint: self.net_fingerprint,
             flows: &self.flows,
@@ -580,7 +580,7 @@ impl<'a> IncrementalNeat<'a> {
         });
         Ok(store
             .store()
-            .write_snapshot(self.batches as u64, &payload)?)
+            .write_snapshot_framed(self.batches as u64, framed)?)
     }
 
     /// Reconstructs an online clusterer from a checkpoint directory:

@@ -673,6 +673,51 @@ mod tests {
     }
 
     #[test]
+    fn acks_wait_for_the_journal_and_snapshots_follow_the_cadence() {
+        let net = network();
+        let fs = MemFs::new();
+        let mut cfg = roots();
+        cfg.checkpoint_every_batches = 4;
+        let open = |fs: &MemFs| {
+            TenantRouter::new(
+                &net,
+                fs.clone(),
+                TenantConfig::new(cfg.clone()),
+                Arc::new(OpClock::new(1)),
+                CancelToken::new(),
+            )
+        };
+        let mut r = open(&fs);
+        for i in 1..=6u64 {
+            let reply = r.push("sj", &format!("b-{i}"), &payload(i));
+            assert!(matches!(reply, Reply::Ack { .. }), "push {i}: {reply:?}");
+            // Every push is acked once journaled; only the fourth one
+            // reaches the cadence and snapshots.
+            let want = u64::from(i >= 4);
+            assert_eq!(r.health_of("sj").unwrap().checkpoints, want, "push {i}");
+        }
+        let reference = r.service_of("sj").unwrap().state_fingerprint();
+        // No drain: pushes 5 and 6 live only in the journal.
+        drop(r);
+
+        let mut r = open(&fs);
+        assert!(matches!(r.status("sj"), Reply::Report(_)));
+        let svc = r.service_of("sj").unwrap();
+        assert_eq!(svc.state_fingerprint(), reference, "acked batch lost");
+        assert_eq!(svc.query().batches, 6);
+        for i in 1..=6u64 {
+            let id = format!("b-{i}");
+            assert!(r.service_of("sj").unwrap().is_applied(&id), "{id}");
+            let reply = r.push("sj", &id, &payload(i));
+            assert!(matches!(reply, Reply::Ack { .. }), "resend {i}: {reply:?}");
+        }
+        let h = r.health_of("sj").unwrap();
+        assert_eq!(h.applied, 0, "a re-sent batch was applied again");
+        assert_eq!(h.checkpoints, 0, "recovery must not snapshot");
+        assert_eq!(r.service_of("sj").unwrap().state_fingerprint(), reference);
+    }
+
+    #[test]
     fn tenants_are_isolated_directories_and_states() {
         let net = network();
         let fs = MemFs::new();

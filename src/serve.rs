@@ -2,8 +2,9 @@
 //!
 //! Wraps [`neat_svc::Service`] in a production poll loop over a real
 //! filesystem: batches dropped into `--spool` (by atomic rename) are
-//! clustered incrementally, journaled and checkpointed into `--state`,
-//! and shed/poison batches land in `--quarantine`. All storage goes
+//! clustered incrementally, journaled into `--state` and snapshotted
+//! there every `--checkpoint-every` batches, and shed/poison batches
+//! land in `--quarantine`. All storage goes
 //! through a [`RetryFs`] with deterministic jittered backoff; its retry
 //! counters surface in the health digest printed on exit.
 //!
@@ -60,6 +61,14 @@ pub const SERVE_USAGE: &str = "usage:
         [--max-conns N] [--idle-timeout DUR] [--read-timeout DUR]
         [--max-frame-bytes N] [... service flags as above]
   (same flags as `neat serve`)
+
+--checkpoint-every N (default 4) snapshots the state after every N
+applied batches (an --idle-expiry watermark advance counts as one);
+--checkpoint-ops N also snapshots after N op-ticks. A batch is acked
+(or removed from the spool) once it is applied and its journal record
+is fsynced, not when a snapshot covers it: a restart resumes from the
+newest snapshot and replays the journal since, at most N-1 batches.
+Under --listen a graceful drain (below) snapshots whatever is pending.
 
 --window bounds retention: after each batch the watermark advances to
 the newest observation time minus the window, t-fragments wholly

@@ -12,9 +12,10 @@
 //! The suite pins the contract from both sides: drift fires on a quiet
 //! stream once enough wall time passes, the advance is gated so a fully
 //! quiesced stream returns to Idle (no journal append per poll tick),
-//! the journaled expiry survives a restart, and the default (windowless
-//! or `idle_expiry = false`) service is bit-for-bit unaffected by the
-//! clock.
+//! the journaled expiry survives a restart, idle expiries count toward
+//! the checkpoint cadence (a quiet stream still snapshots and compacts
+//! its journal), and the default (windowless or `idle_expiry = false`)
+//! service is bit-for-bit unaffected by the clock.
 
 use neat_repro::durability::{Fs, MemFs};
 use neat_repro::neat::NeatConfig;
@@ -244,5 +245,76 @@ fn windowless_and_default_services_ignore_the_clock() {
         svc.state_fingerprint(),
         baseline,
         "default service state moved with the clock"
+    );
+}
+
+#[test]
+fn idle_expiries_reach_a_cadence_snapshot_and_compact_the_journal() {
+    use neat_repro::durability::store::Store;
+    use neat_repro::neat::checkpoint::CHECKPOINT_VERSION;
+
+    // Four batches 100 s apart under a wide window, all retained. With a
+    // cadence of two, the second and fourth batches take checkpoints:
+    // two snapshots, and the journal still holds the records between
+    // them (retention keeps them for the older snapshot's fallback).
+    const EVERY: usize = 2;
+    let network = net();
+    let fs = MemFs::new();
+    fs.create_dir_all(Path::new("/spool")).unwrap();
+    for i in 0..4u64 {
+        let id = format!("b-{i:03}.batch");
+        spool::submit(&fs, Path::new("/spool"), &id, &batch(i, i as f64 * 100.0)).unwrap();
+    }
+    let clock = Arc::new(ManualClock::default());
+    let mut config = cfg(true, Some(1000.0));
+    config.checkpoint_every_batches = EVERY;
+    let mut svc = open(&network, config, &fs, &clock);
+    assert_eq!(svc.run_drain(64), DrainOutcome::Drained);
+    assert_eq!(svc.health().checkpoints, 2, "{}", svc.health().digest());
+
+    let store = Store::open(fs.clone(), "/state", CHECKPOINT_VERSION).unwrap();
+    let before = store.snapshot_seqs().unwrap();
+    assert_eq!(before.len(), 2);
+    let newest = before[1];
+    let covered = |store: &Store<MemFs>| {
+        store
+            .journal_records()
+            .unwrap()
+            .iter()
+            .filter(|e| e.seq <= newest)
+            .count()
+    };
+    assert!(
+        covered(&store) > 0,
+        "fixture journal holds no covered record"
+    );
+
+    // The stream goes quiet. The newest observation is 360 s, so wall
+    // time 720 s and 820 s put the watermark at 80 and 180: each step
+    // expires one batch's fragments (last observations at 60 and 160)
+    // and is one journaled idle expiry.
+    for (step, ms) in [720_000u64, 820_000].into_iter().enumerate() {
+        clock.set(ms);
+        assert_eq!(svc.tick(), TickOutcome::Worked, "{}", svc.health().digest());
+        assert_eq!(svc.tick(), TickOutcome::Idle, "{}", svc.health().digest());
+        let h = svc.health();
+        assert_eq!(h.idle_expiries, step as u64 + 1, "{}", h.digest());
+        let snapshots = store.snapshot_seqs().unwrap();
+        if step + 1 < EVERY {
+            // Below the cadence: journaled, not snapshotted.
+            assert_eq!(h.checkpoints, 2, "{}", h.digest());
+            assert_eq!(snapshots, before);
+        } else {
+            // Due: the snapshot lands, the oldest one is retired, and
+            // compaction drops every record the previous newest covers.
+            assert_eq!(h.checkpoints, 3, "{}", h.digest());
+            assert_eq!(snapshots.len(), 2);
+            assert_eq!(snapshots[0], newest);
+            assert_eq!(covered(&store), 0, "journal not compacted");
+        }
+    }
+    assert!(
+        svc.session().live_fragments() > 0,
+        "the window over-expired"
     );
 }

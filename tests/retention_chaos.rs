@@ -94,16 +94,17 @@ fn seed_spool(fs: &MemFs, n: u64) {
     }
 }
 
-/// Fingerprint (and sanity) of an uninterrupted windowed run.
-fn reference_fingerprint(network: &RoadNetwork) -> String {
+/// Fingerprint (and sanity) of an uninterrupted windowed run of
+/// `n_batches` batches under `config`.
+fn reference_fingerprint(network: &RoadNetwork, config: &SvcConfig, n_batches: u64) -> String {
     let fs = MemFs::new();
-    seed_spool(&fs, N_BATCHES);
-    let mut svc = Service::open(network, cfg(), fs.clone()).unwrap();
+    seed_spool(&fs, n_batches);
+    let mut svc = Service::open(network, config.clone(), fs.clone()).unwrap();
     assert_eq!(svc.run_drain(256), DrainOutcome::Drained);
     assert_eq!(svc.status(), ServiceStatus::Running);
     let h = svc.health();
     assert!(
-        h.expiries >= N_BATCHES - 1,
+        h.expiries >= n_batches - 1,
         "watermark never ticked: {}",
         h.digest()
     );
@@ -128,15 +129,41 @@ fn reference_fingerprint(network: &RoadNetwork) -> String {
 
 #[test]
 fn disk_fault_matrix_covers_every_compaction_step() {
+    // Per batch the windowed pipeline writes at least: the batch journal
+    // append, the expiry journal append, the applied-ID index rewrite
+    // (temp + rename), the snapshot (temp + rename) and retention
+    // (snapshot removal and/or compaction rewrite + prunes).
+    disk_fault_matrix(&cfg(), N_BATCHES, N_BATCHES * 6);
+}
+
+/// The same matrix with a checkpoint every four batches: each
+/// compaction then rewrites a journal several batches long (the live
+/// records between the two retained snapshots) instead of one batch.
+#[test]
+fn disk_fault_matrix_with_a_cadence_of_four_compacts_multi_batch_journals() {
+    const BATCHES: u64 = 12;
+    let mut config = cfg();
+    config.checkpoint_every_batches = 4;
+    // Per batch two journal appends (batch and expiry); per checkpoint
+    // at least the applied-ID index and the snapshot (temp + rename
+    // each).
+    disk_fault_matrix(&config, BATCHES, BATCHES * 2 + BATCHES / 4 * 4);
+}
+
+/// Every fault kind at every mutating filesystem operation of a clean
+/// `n_batches` run under `config`; a restart over the surviving bytes
+/// must converge to the uninterrupted run's state. `min_ops` is a floor
+/// on the probe's operation count that catches a broken probe.
+fn disk_fault_matrix(config: &SvcConfig, n_batches: u64, min_ops: u64) {
     let network = net();
-    let reference = reference_fingerprint(&network);
+    let reference = reference_fingerprint(&network, config, n_batches);
 
     // Probe: count the mutating filesystem operations of a clean run.
     let probe_mem = MemFs::new();
-    seed_spool(&probe_mem, N_BATCHES);
-    let probe = FaultFs::unarmed(probe_mem);
+    seed_spool(&probe_mem, n_batches);
+    let probe = FaultFs::unarmed(probe_mem.clone());
     {
-        let mut svc = Service::open(&network, cfg(), probe.clone()).unwrap();
+        let mut svc = Service::open(&network, config.clone(), probe.clone()).unwrap();
         assert_eq!(svc.run_drain(256), DrainOutcome::Drained);
         assert!(
             svc.health().compactions > 0,
@@ -144,13 +171,18 @@ fn disk_fault_matrix_covers_every_compaction_step() {
             svc.health().digest()
         );
     }
-    let total_ops = probe.mutating_ops();
-    // Per batch the windowed pipeline writes at least: the batch journal
-    // append, the expiry journal append, the applied-ID index rewrite
-    // (temp + rename), the snapshot (temp + rename) and retention
-    // (snapshot removal and/or compaction rewrite + prunes).
+    // Some compaction carried live records into a fresh segment, so
+    // the matrix covers that rewrite too, not only segment removal.
     assert!(
-        total_ops >= N_BATCHES * 6,
+        probe_mem
+            .dump()
+            .iter()
+            .any(|(p, _)| p.to_string_lossy().starts_with("/state/journal-")),
+        "no compaction rewrote live records"
+    );
+    let total_ops = probe.mutating_ops();
+    assert!(
+        total_ops >= min_ops,
         "probe looks broken: {total_ops} mutating ops"
     );
 
@@ -170,18 +202,18 @@ fn disk_fault_matrix_covers_every_compaction_step() {
             let id = format!("op{k}-{fault:?}");
             let silent = matches!(fault, DiskFault::BitFlip { .. });
             let mem = MemFs::new();
-            seed_spool(&mem, N_BATCHES);
+            seed_spool(&mem, n_batches);
             let fs = FaultFs::armed(mem.clone(), k, fault);
 
             // First life: run until the fault kills the process (or the
             // run rides through a recoverable/silent fault).
-            if let Ok(mut svc) = Service::open(&network, cfg(), fs.clone()) {
+            if let Ok(mut svc) = Service::open(&network, config.clone(), fs.clone()) {
                 let _ = svc.run_drain(512);
             }
             assert!(fs.fault_fired(), "{id}: fault never fired");
 
             // Restart over the surviving bytes.
-            let mut svc2 = match Service::open(&network, cfg(), mem.clone()) {
+            let mut svc2 = match Service::open(&network, config.clone(), mem.clone()) {
                 Ok(svc) => svc,
                 Err(e) if silent => {
                     // Silent corruption may be unrecoverable, but only
@@ -236,7 +268,7 @@ impl FaultHook for PanicAt {
 #[test]
 fn kill_at_every_edge_of_the_windowed_pipeline_recovers_identically() {
     let network = net();
-    let reference = reference_fingerprint(&network);
+    let reference = reference_fingerprint(&network, &cfg(), N_BATCHES);
     for edge in Edge::ALL {
         let fs = MemFs::new();
         seed_spool(&fs, N_BATCHES);
