@@ -54,22 +54,12 @@ fn bench_clustering(c: &mut Criterion) {
         b.iter(|| FlowIndex::build(&net, &result.flow_clusters))
     });
 
-    // Spatial-index comparison: grid vs STR R-tree on the same queries.
     let grid = neat_rnet::SegmentIndex::build(&net, 150.0);
-    let rtree = neat_rnet::SegmentRTree::build(&net);
     group.bench_function("grid_nearest_64_queries", |b| {
         b.iter(|| {
             queries
                 .iter()
                 .filter_map(|&p| grid.nearest(&net, p))
-                .count()
-        })
-    });
-    group.bench_function("rtree_nearest_64_queries", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .filter_map(|&p| rtree.nearest(&net, p))
                 .count()
         })
     });

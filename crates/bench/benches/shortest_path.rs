@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use neat_rnet::netgen::MapPreset;
 use neat_rnet::path::TravelMode;
-use neat_rnet::{BidirectionalDijkstra, NodeId, ShortestPathEngine};
+use neat_rnet::{NodeId, ShortestPathEngine};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -20,7 +20,6 @@ fn bench_shortest_paths(c: &mut Criterion) {
         })
         .collect();
     let mut engine = ShortestPathEngine::new(&net);
-    let mut bidi = BidirectionalDijkstra::new(&net);
 
     let mut group = c.benchmark_group("shortest_path_atl");
     group.sample_size(10);
@@ -35,13 +34,6 @@ fn bench_shortest_paths(c: &mut Criterion) {
         b.iter(|| {
             for &(u, v) in &pairs {
                 let _ = engine.distance_plain(&net, u, v);
-            }
-        })
-    });
-    group.bench_function("bidirectional_32_random_pairs", |b| {
-        b.iter(|| {
-            for &(u, v) in &pairs {
-                let _ = bidi.distance(&net, u, v, TravelMode::Undirected);
             }
         })
     });

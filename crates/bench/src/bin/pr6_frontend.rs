@@ -1,14 +1,12 @@
-//! Front-end benchmark for the flat SoA refactor: arena-backed Phase 1
-//! against the legacy per-trajectory path, plus the cache-friendly
-//! map-matching kernel (flat cost/backpointer matrices, CSR grid,
-//! reusable scratch buffers).
+//! Front-end benchmark for the flat SoA layout: arena-backed Phase 1 at
+//! 1 and N threads, plus the cache-friendly map-matching kernel (flat
+//! cost/backpointer matrices, CSR grid, reusable scratch buffers).
 //!
-//! Emits a `BENCH_PR6.json` report with phase-1 wall-clock timings (legacy
-//! reference vs arena at 1 and N threads), map-matching throughput, and
-//! the deterministic work counters (`samples_scanned`,
-//! `candidate_lookups`, `matrix_cells`) that gate CI. The arena runs
-//! must produce byte-identical clusters to the legacy reference — the
-//! binary asserts it.
+//! Emits a `BENCH_PR6.json` report with phase-1 wall-clock timings at 1
+//! and N threads, map-matching throughput, and the deterministic work
+//! counters (`samples_scanned`, `candidate_lookups`, `matrix_cells`)
+//! that gate CI. The N-thread run must produce byte-identical clusters to
+//! the 1-thread run — the binary asserts it.
 //!
 //! Flags:
 //!
@@ -25,13 +23,12 @@
 
 use neat_bench::setup::{dataset, experiment_config, network, DEFAULT_SEED};
 use neat_bench::time;
-use neat_core::{ErrorPolicy, Mode, Neat, NeatConfig, NeatResult};
+use neat_core::{Mode, Neat, NeatConfig, NeatResult};
 use neat_mapmatch::{MapMatcher, MatchConfig};
 use neat_mobisim::{generate_dataset, SimConfig};
 use neat_rnet::location::RawSample;
 use neat_rnet::netgen::{generate_grid_network, GridNetworkConfig, MapPreset};
 use neat_rnet::RoadNetwork;
-use neat_runctl::Control;
 use neat_traj::{Dataset, Trajectory};
 use serde_json::{json, Value};
 
@@ -164,42 +161,6 @@ fn main() {
         )
     };
 
-    // Legacy reference: the controlled pipeline keeps the pre-refactor
-    // per-trajectory extraction path, so an unlimited single-threaded
-    // controlled run is the "before" for both timing and output.
-    neat_bench::log::info(&format!(
-        "pr6_frontend: fixture {fixture}, legacy reference"
-    ));
-    let ref_cfg = NeatConfig { threads: 1, ..cfg };
-    let neat_ref = Neat::new(&net, ref_cfg);
-    let mut ref_p1 = f64::MAX;
-    let mut ref_total = f64::MAX;
-    let mut ref_fp = (0, 0, 0);
-    let mut reference = json!(null);
-    for _ in 0..REPS {
-        let (ref_outcome, ref_wall) = time(|| {
-            neat_ref
-                .run_controlled(&data, Mode::Opt, ErrorPolicy::Strict, &Control::unlimited())
-                .expect("legacy reference run")
-        });
-        assert!(
-            ref_outcome.result.mode == Mode::Opt,
-            "legacy reference must complete"
-        );
-        ref_fp = cluster_fingerprint(&ref_outcome.result);
-        ref_p1 = ref_p1.min(ref_outcome.result.timings.phase1.as_secs_f64());
-        ref_total = ref_total.min(ref_wall.as_secs_f64());
-        reference = json!({
-            "label": "legacy",
-            "threads": 1,
-            "reps": REPS,
-            "phase1_s": ref_p1,
-            "total_s": ref_total,
-            "fragments": ref_outcome.result.fragment_count,
-            "samples_scanned": ref_outcome.result.samples_scanned,
-        });
-    }
-
     // Arena front end at 1 and N threads: byte-identical output required.
     neat_bench::log::info("pr6_frontend: arena run (1 thread)");
     let (arena_1t, fp_1t) = arena_run("arena-1t", &NeatConfig { threads: 1, ..cfg }, &net, &data);
@@ -215,10 +176,6 @@ fn main() {
         },
         &net,
         &data,
-    );
-    assert_eq!(
-        ref_fp, fp_1t,
-        "arena front end changed the clusters vs the legacy path"
     );
     assert_eq!(fp_1t, fp_nt, "arena front end is not thread-invariant");
 
@@ -270,21 +227,16 @@ fn main() {
     });
 
     let p1 = |v: &Value| v.get("phase1_s").and_then(Value::as_f64).expect("field");
-    let (p1_ref, p1_1t, p1_nt) = (p1(&reference), p1(&arena_1t), p1(&arena_nt));
-    let speedup_nt = p1_ref / p1_nt.max(1e-9);
-    let speedup_1t = p1_ref / p1_1t.max(1e-9);
+    let (p1_1t, p1_nt) = (p1(&arena_1t), p1(&arena_nt));
     let report = json!({
         "bench": "pr6_frontend",
         "fixture": fixture,
         "seed": args.seed,
         "smoke": args.smoke,
-        "reference": reference,
         "arena_1t": arena_1t,
         "arena_nt": arena_nt,
         "mapmatch": mapmatch,
         "counters": counters,
-        "phase1_speedup_1t": speedup_1t,
-        "phase1_speedup_nt": speedup_nt,
         "output_identical": true,
     });
     let pretty = format!(
@@ -293,9 +245,7 @@ fn main() {
     );
     neat_bench::write_out(&args.out, &pretty).expect("write the report");
     neat_bench::log::out(&format!(
-        "pr6_frontend: phase1 {:.4}s -> {:.4}s @1T ({speedup_1t:.2}x), {:.4}s @{}T \
-         ({speedup_nt:.2}x); mapmatch {:.3}s for {} samples ({})",
-        p1_ref,
+        "pr6_frontend: phase1 {:.4}s @1T, {:.4}s @{}T; mapmatch {:.3}s for {} samples ({})",
         p1_1t,
         p1_nt,
         args.threads,

@@ -295,67 +295,6 @@ impl Executor {
     {
         self.map_ctx(n, || (), |i, ()| f(i))
     }
-
-    /// Maps `f` over contiguous chunk ranges of `0..n` with no control:
-    /// workers claim whole chunks and produce **one result per chunk**,
-    /// returned in chunk order.
-    ///
-    /// Chunk boundaries are fixed by the executor's chunk size alone
-    /// (`[0, chunk)`, `[chunk, 2*chunk)`, …) — independent of the thread
-    /// count — so a fold over the returned results visits per-item state
-    /// in exactly index order at any parallelism. This is the batching
-    /// primitive for phases that want one shared output buffer per chunk
-    /// instead of one allocation per item.
-    pub fn map_chunks<C, T, F>(&self, n: usize, mut make_ctx: impl FnMut() -> C, f: F) -> Vec<T>
-    where
-        C: Send,
-        T: Send,
-        F: Fn(std::ops::Range<usize>, &mut C) -> T + Sync,
-    {
-        let chunk = self.chunk;
-        let n_chunks = n.div_ceil(chunk);
-        let range_of = |c: usize| c * chunk..((c + 1) * chunk).min(n);
-        if !self.is_parallel_for(n) {
-            let mut ctx = make_ctx();
-            return (0..n_chunks).map(|c| f(range_of(c), &mut ctx)).collect();
-        }
-        let threads = self.threads;
-        let worker_ctxs: Vec<C> = (0..threads).map(|_| make_ctx()).collect();
-        let counter = AtomicUsize::new(0);
-        let mut out: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-
-        let gathered = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = worker_ctxs
-                .into_iter()
-                .map(|mut ctx| {
-                    let (counter, f, range_of) = (&counter, &f, &range_of);
-                    s.spawn(move |_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let c = counter.fetch_add(1, Ordering::SeqCst);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            local.push((c, f(range_of(c), &mut ctx)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    // lint:allow(L1) reason=join only fails when the worker panicked, which the panic-free library contract already forbids
-                    h.join().expect("executor worker panicked")
-                })
-                .collect::<Vec<_>>()
-        });
-        // lint:allow(L1) reason=scope only fails when a worker panicked, which the panic-free library contract already forbids
-        for (c, v) in gathered.expect("executor worker panicked") {
-            out[c] = Some(v);
-        }
-        out.into_iter().flatten().collect()
-    }
 }
 
 /// The sequential reference loop the parallel path must reproduce.
@@ -525,31 +464,6 @@ mod tests {
         let exec = Executor::new(4).with_chunk(3);
         let out = exec.map(1_000, |i| i * i);
         assert_eq!(out, (0..1_000).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_chunks_covers_every_index_in_chunk_order() {
-        for threads in [1usize, 2, 4, 8] {
-            for chunk in [1usize, 3, 7, 32] {
-                let exec = Executor::new(threads).with_chunk(chunk);
-                let ranges = exec.map_chunks(100, || (), |r, ()| r);
-                let flat: Vec<usize> = ranges.into_iter().flatten().collect();
-                assert_eq!(
-                    flat,
-                    (0..100).collect::<Vec<_>>(),
-                    "threads={threads} chunk={chunk}"
-                );
-            }
-        }
-        // Boundaries are a function of the chunk size only.
-        let a = Executor::new(2)
-            .with_chunk(7)
-            .map_chunks(50, || (), |r, ()| r);
-        let b = Executor::new(8)
-            .with_chunk(7)
-            .map_chunks(50, || (), |r, ()| r);
-        assert_eq!(a, b);
-        assert!(Executor::new(4).map_chunks(0, || (), |r, ()| r).is_empty());
     }
 
     #[test]

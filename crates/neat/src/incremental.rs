@@ -22,8 +22,8 @@ use crate::config::NeatConfig;
 use crate::control::{Completeness, Degradation, DegradationStep, PhaseStatus};
 use crate::error::NeatError;
 use crate::model::{FlowCluster, TrajectoryCluster};
-use crate::phase1::{form_base_clusters_ctl, form_base_clusters_with_policy, ResilienceCounters};
-use crate::phase2::{form_flow_clusters, form_flow_clusters_ctl};
+use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
+use crate::phase2::form_flow_clusters_inner;
 use crate::phase3::{
     refine_flow_clusters, refine_inner, ControlledRefinement, Phase3Stats, SessionCache,
     SessionCacheStats,
@@ -228,16 +228,8 @@ impl<'a> IncrementalNeat<'a> {
         batch: &Dataset,
         policy: ErrorPolicy,
     ) -> Result<Vec<TrajectoryCluster>, NeatError> {
-        self.config.validate()?;
-        let (p1, counters) =
-            form_base_clusters_with_policy(self.net, batch, self.config.insert_junctions, policy)?;
-        let p2 = form_flow_clusters(self.net, p1.base_clusters, &self.config)?;
-        self.flows.extend(self.admit_flows(p2.flow_clusters));
-        self.batches += 1;
-        self.resilience.merge(&counters);
-        let p3 = self.refine(None)?.output;
-        self.last_stats = p3.stats;
-        Ok(p3.clusters)
+        self.ingest_inner(batch, policy, None)
+            .map(|outcome| outcome.clusters)
     }
 
     /// [`IncrementalNeat::ingest_with_policy`] under a [`Control`]:
@@ -271,15 +263,29 @@ impl<'a> IncrementalNeat<'a> {
         policy: ErrorPolicy,
         ctl: &Control,
     ) -> Result<IngestOutcome, NeatError> {
+        self.ingest_inner(batch, policy, Some(ctl))
+    }
+
+    /// The ingest body behind both entry points. Without a control,
+    /// Phase 1 runs under an unlimited one and Phases 2–3 run
+    /// uncontrolled, so nothing interrupts and the batch is always
+    /// applied.
+    fn ingest_inner(
+        &mut self,
+        batch: &Dataset,
+        policy: ErrorPolicy,
+        ctl: Option<&Control>,
+    ) -> Result<IngestOutcome, NeatError> {
         self.config.validate()?;
         // Phases 1–2 run on the batch alone, without touching `self`.
+        let unlimited = Control::unlimited();
         let (p1, counters, s1) = form_base_clusters_ctl(
             self.net,
             batch,
             self.config.insert_junctions,
             1, // sequential: deterministic cut points for replay
             policy,
-            ctl,
+            ctl.unwrap_or(&unlimited),
         )?;
         if !s1.is_complete() {
             let why = s1.interrupt();
@@ -309,7 +315,8 @@ impl<'a> IncrementalNeat<'a> {
                 interrupt: why,
             });
         }
-        let (p2, s2) = form_flow_clusters_ctl(self.net, p1.base_clusters, &self.config, ctl)?;
+        let (p2, s2) =
+            form_flow_clusters_inner(self.net, p1.base_clusters, &self.config, &mut None, ctl)?;
         if !s2.is_complete() {
             let why = s2.interrupt();
             let mut steps = Vec::new();
@@ -344,7 +351,7 @@ impl<'a> IncrementalNeat<'a> {
 
         // Refinement reads the retained flows but never mutates them, so
         // a degraded or partial grouping here only affects this view.
-        let refined = self.refine(Some(ctl))?;
+        let refined = self.refine(ctl)?;
         self.last_stats = refined.output.stats;
         let s3 = refined.status;
         let mut steps = Vec::new();

@@ -13,6 +13,9 @@
 //! The resulting t-fragments are grouped by road segment into base
 //! clusters, which are returned sorted by density (descending) so the
 //! first cluster is the dense-core (Definition 4).
+//!
+//! Every entry point runs the one arena-backed implementation,
+//! [`form_base_clusters_ctl`] (DESIGN.md §17).
 
 use crate::control::PhaseStatus;
 use crate::error::NeatError;
@@ -75,110 +78,50 @@ impl ResilienceCounters {
     }
 }
 
-/// Outcome of extracting one trajectory under a policy. `Failed` only
-/// occurs under [`ErrorPolicy::Strict`]; `Interrupted` only with a
-/// [`Control`] attached.
-enum TrajOutcome {
-    Ok(Vec<TFragment>),
-    Repaired(Vec<TFragment>),
+/// Trajectories per phase-1 work item. Fixed, so chunk boundaries — and
+/// with them the fold order of fragments — never depend on the thread
+/// count.
+const CHUNK: usize = 16;
+
+/// What happened to one trajectory of a chunk. Fragments go straight
+/// into the chunk's shared buffer, so the outcome carries bookkeeping
+/// only. `Failed` only occurs under [`ErrorPolicy::Strict`].
+enum SlotOutcome {
+    Ok,
+    Repaired,
     Skipped(TrajectoryId),
     Failed(NeatError),
-    Interrupted(Interrupt),
 }
 
-/// Extracts one trajectory's fragments and validates every fragment's
-/// segment against the network.
-fn try_extract(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    tr: &Trajectory,
-    insert_junctions: bool,
-    ctl: Option<&Control>,
-) -> Result<Vec<TFragment>, NeatError> {
-    let frags = if insert_junctions {
-        extract_fragments_ctl(net, engine, tr, ctl)?
-    } else {
-        neat_traj::fragment::split_into_fragments(tr)
-    };
-    for f in &frags {
-        if net.segment(f.segment).is_err() {
-            return Err(NeatError::UnknownSegment(f.segment));
-        }
-    }
-    Ok(frags)
-}
-
-fn extract_with_policy(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    tr: &Trajectory,
-    insert_junctions: bool,
-    policy: ErrorPolicy,
-    ctl: Option<&Control>,
-) -> TrajOutcome {
-    // One cancel point per trajectory, plus the per-settled-node points
-    // inside the gap-repair shortest paths.
-    if let Some(c) = ctl {
-        if let Err(why) = c.check() {
-            return TrajOutcome::Interrupted(why);
-        }
-    }
-    match try_extract(net, engine, tr, insert_junctions, ctl) {
-        Ok(frags) => TrajOutcome::Ok(frags),
-        // Interrupts must bypass the error policy: they are verdicts on
-        // the *run*, not on this trajectory's data.
-        Err(NeatError::Interrupted(why)) => TrajOutcome::Interrupted(why),
-        Err(e) => match policy {
-            ErrorPolicy::Strict => TrajOutcome::Failed(e),
-            ErrorPolicy::Skip => TrajOutcome::Skipped(tr.id()),
-            ErrorPolicy::Repair => {
-                // Drop the points the network cannot place; if enough
-                // remain to form a trajectory, extract from the rest.
-                let kept: Vec<RoadLocation> = tr
-                    .points()
-                    .iter()
-                    .filter(|p| net.segment(p.segment).is_ok())
-                    .copied()
-                    .collect();
-                if kept.len() >= 2 {
-                    if let Ok(repaired) = Trajectory::new(tr.id(), kept) {
-                        match try_extract(net, engine, &repaired, insert_junctions, ctl) {
-                            Ok(frags) => return TrajOutcome::Repaired(frags),
-                            Err(NeatError::Interrupted(why)) => {
-                                return TrajOutcome::Interrupted(why)
-                            }
-                            Err(_) => {}
-                        }
-                    }
-                }
-                TrajOutcome::Skipped(tr.id())
-            }
-        },
-    }
+/// The output of one chunk of arena trajectories: one contiguous
+/// fragment buffer for all of them, its segment keys, and one outcome
+/// per trajectory the chunk completed.
+struct Chunk {
+    frags: Vec<TFragment>,
+    /// `frags[i].segment.index()`, mirrored while the chunk is cache-hot
+    /// so the grouping counting sort scans compact `u32` runs.
+    keys: Vec<u32>,
+    outcomes: Vec<SlotOutcome>,
+    /// Samples of the completed trajectories.
+    samples: usize,
+    /// The interrupt that stopped the chunk part-way, if any.
+    halted: Option<Interrupt>,
 }
 
 /// Groups fragments by segment into density-sorted base clusters.
 ///
-/// Takes per-chunk `(fragments, segment keys)` lists — the keys mirror
-/// `fragments[i].segment.index()` and are built while the chunk is still
-/// cache-hot, so the counting pass below scans compact `u32` runs
-/// instead of striding through the (much larger) fragment records. The
-/// lists' logical concatenation is the fragment stream in dataset order;
-/// the scatter is a dense counting sort keyed by segment index — no
-/// hashing on the hot path. Within-segment fragment order is the
+/// The chunks' logical concatenation is the fragment stream in dataset
+/// order; the scatter is a dense counting sort keyed by segment index —
+/// no hashing on the hot path. Within-segment fragment order is the
 /// concatenation order, and the final (density desc, segment asc) sort
 /// is a total order over clusters (one cluster per segment), so the
-/// output is identical to the old `HashMap`-based grouping for any
-/// input.
-fn group_into_clusters(
-    lists: &[(Vec<TFragment>, Vec<u32>)],
-    samples_scanned: usize,
-) -> Phase1Output {
+/// output is a pure function of the fragment stream.
+fn group_into_clusters(chunks: &[Chunk], samples_scanned: usize) -> Phase1Output {
     let mut fragment_count = 0usize;
     let mut counts: Vec<u32> = Vec::new();
-    for (_, keys) in lists {
-        fragment_count += keys.len();
-        for &k in keys {
+    for chunk in chunks {
+        fragment_count += chunk.keys.len();
+        for &k in &chunk.keys {
             let s = k as usize;
             if s >= counts.len() {
                 counts.resize(s + 1, 0);
@@ -196,8 +139,10 @@ fn group_into_clusters(
             buckets.push(Vec::with_capacity(c as usize));
         }
     }
-    for (frags, keys) in lists {
-        for (f, &k) in frags.iter().zip(keys) {
+    // Copying out of borrowed chunks: moving out of consumed ones made
+    // phase 1 on SJ5000 about a quarter slower at one thread.
+    for chunk in chunks {
+        for (f, &k) in chunk.frags.iter().zip(&chunk.keys) {
             buckets[slot[k as usize] as usize].push(*f);
         }
     }
@@ -221,7 +166,8 @@ fn group_into_clusters(
 }
 
 /// Runs Phase 1: extracts t-fragments from every trajectory and groups
-/// them into density-sorted base clusters.
+/// them into density-sorted base clusters, under
+/// [`ErrorPolicy::Strict`] on one thread.
 ///
 /// When `insert_junctions` is `true`, junction points are inserted between
 /// consecutive samples on different segments (with shortest-path gap repair
@@ -237,131 +183,22 @@ pub fn form_base_clusters(
     dataset: &Dataset,
     insert_junctions: bool,
 ) -> Result<Phase1Output, NeatError> {
-    form_base_clusters_with_policy(net, dataset, insert_junctions, ErrorPolicy::Strict)
+    form_base_clusters_parallel_with_policy(net, dataset, insert_junctions, 1, ErrorPolicy::Strict)
         .map(|(out, _)| out)
 }
 
-/// Policy-aware variant of [`form_base_clusters`]: under
-/// [`ErrorPolicy::Skip`] or [`ErrorPolicy::Repair`] a trajectory the
-/// network cannot place is isolated (dropped or point-repaired, counted
-/// in the returned [`ResilienceCounters`]) instead of aborting the run.
+/// [`form_base_clusters`] under an error policy on `threads` workers.
+/// Under [`ErrorPolicy::Skip`] or [`ErrorPolicy::Repair`] a trajectory
+/// the network cannot place is isolated (dropped or point-repaired,
+/// counted in the returned [`ResilienceCounters`]) instead of aborting
+/// the run. The output — clusters *and* counters — is bit-identical at
+/// every thread count.
 ///
 /// # Errors
 ///
-/// Under [`ErrorPolicy::Strict`], same as [`form_base_clusters`]; the
-/// other policies only fail on internal invariant violations (never on
-/// bad input data).
-pub fn form_base_clusters_with_policy(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-    policy: ErrorPolicy,
-) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
-    form_base_clusters_arena(net, dataset, insert_junctions, 1, policy)
-}
-
-/// Segment keys mirroring `frags[i].segment.index()` — the compact scan
-/// input for the grouping counting sort.
-fn segment_keys(frags: &[TFragment]) -> Vec<u32> {
-    frags
-        .iter()
-        .map(|f| f.segment.index() as u32) // lint:allow(L4) reason=SegmentId is u32-backed, so index() round-trips losslessly
-        .collect()
-}
-
-/// Sequential extraction under a [`Control`]: stops at the first
-/// interrupted trajectory and reports how far it got. This is the legacy
-/// per-trajectory path, kept for controlled runs (the arena fast path
-/// has no cancel points).
-fn form_base_clusters_seq_ctl(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-    policy: ErrorPolicy,
-    ctl: &Control,
-) -> Result<(Phase1Output, ResilienceCounters, PhaseStatus), NeatError> {
-    let mut engine = ShortestPathEngine::new(net);
-    let total = dataset.len();
-    let mut counters = ResilienceCounters::default();
-    let mut all_frags: Vec<TFragment> = Vec::new();
-    let mut done = 0usize;
-    let mut samples_scanned = 0usize;
-    let mut status = PhaseStatus::Complete;
-    for tr in dataset.trajectories() {
-        match extract_with_policy(net, &mut engine, tr, insert_junctions, policy, Some(ctl)) {
-            TrajOutcome::Ok(frags) => {
-                all_frags.extend(frags);
-                done += 1;
-                samples_scanned += tr.len();
-            }
-            TrajOutcome::Repaired(frags) => {
-                counters.repaired += 1;
-                all_frags.extend(frags);
-                done += 1;
-                samples_scanned += tr.len();
-            }
-            TrajOutcome::Skipped(id) => {
-                counters.skipped += 1;
-                counters.skipped_ids.push(id);
-                done += 1;
-                samples_scanned += tr.len();
-            }
-            TrajOutcome::Failed(e) => return Err(e),
-            TrajOutcome::Interrupted(why) => {
-                // Fragments of the interrupted trajectory are discarded
-                // whole, so the delivered base clusters cover exactly the
-                // `done`-trajectory prefix of the dataset.
-                status = PhaseStatus::Partial { done, total, why };
-                break;
-            }
-        }
-    }
-    let keys = segment_keys(&all_frags);
-    Ok((
-        group_into_clusters(&[(all_frags, keys)], samples_scanned),
-        counters,
-        status,
-    ))
-}
-
-/// Parallel variant of [`form_base_clusters`]: trajectories are split
-/// into `threads` chunks extracted concurrently (each worker owns its own
-/// shortest-path engine), then grouped exactly as the sequential version.
-///
-/// The output is bit-identical to [`form_base_clusters`]: chunk results
-/// are concatenated in chunk order, so fragment order — and therefore
-/// base-cluster contents and density ordering — is unchanged.
-///
-/// # Errors
-///
-/// Same as [`form_base_clusters`]; with several failing trajectories the
-/// error of the earliest chunk wins.
-pub fn form_base_clusters_parallel(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-    threads: usize,
-) -> Result<Phase1Output, NeatError> {
-    form_base_clusters_parallel_with_policy(
-        net,
-        dataset,
-        insert_junctions,
-        threads,
-        ErrorPolicy::Strict,
-    )
-    .map(|(out, _)| out)
-}
-
-/// Policy-aware variant of [`form_base_clusters_parallel`]. Workers
-/// apply the policy per trajectory; outcomes are folded in dataset
-/// order, so the output (clusters *and* counters) is bit-identical to
-/// [`form_base_clusters_with_policy`] regardless of thread count.
-///
-/// # Errors
-///
-/// Same as [`form_base_clusters_with_policy`]; under
-/// [`ErrorPolicy::Strict`] the error of the earliest failing trajectory
-/// wins.
+/// Under [`ErrorPolicy::Strict`], same as [`form_base_clusters`] (the
+/// error of the earliest failing trajectory wins); the other policies
+/// only fail on internal invariant violations (never on bad input data).
 pub fn form_base_clusters_parallel_with_policy(
     net: &RoadNetwork,
     dataset: &Dataset,
@@ -369,18 +206,34 @@ pub fn form_base_clusters_parallel_with_policy(
     threads: usize,
     policy: ErrorPolicy,
 ) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
-    form_base_clusters_arena(net, dataset, insert_junctions, threads, policy)
+    let (out, counters, _) = form_base_clusters_ctl(
+        net,
+        dataset,
+        insert_junctions,
+        threads,
+        policy,
+        &Control::unlimited(),
+    )?;
+    Ok((out, counters))
 }
 
-/// Phase 1 under a [`Control`]: cooperative cancel points per trajectory
-/// and per settled node inside gap-repair shortest paths. On interrupt
-/// the clusters built from the completed trajectory prefix are returned
-/// with a [`PhaseStatus::Partial`] report instead of an error.
+/// Phase 1 under a [`Control`] — the one implementation behind every
+/// entry point.
 ///
-/// The cut point is deterministic for a given budget/arming regardless
-/// of thread count: workers run speculatively against recorder controls
-/// and their op/settle charges are committed against the real budget in
-/// dataset order (see [`neat_exec::Executor::try_map_ctl`]).
+/// The dataset is flattened into a [`SampleArena`] and scanned in
+/// fixed-size chunks of trajectories, one [`Executor::try_map_ctl`] item
+/// per chunk. Each chunk appends its fragments to one contiguous buffer.
+/// The control is checked once per trajectory and charged one settled
+/// node per node the gap-repair routes settle. On interrupt the clusters
+/// built from the completed trajectory prefix are returned with a
+/// [`PhaseStatus::Partial`] report instead of an error.
+///
+/// The output and the cut point are deterministic for a given budget or
+/// arming at every thread count: workers run chunks speculatively against
+/// recorder controls and their op/settle charges are committed against
+/// the real budget in dataset order. A chunk that crosses a limit re-runs
+/// live and returns the trajectories it completed; the interrupt latches
+/// in the control, so the next chunk halts at its first check.
 ///
 /// # Errors
 ///
@@ -394,107 +247,185 @@ pub fn form_base_clusters_ctl(
     policy: ErrorPolicy,
     ctl: &Control,
 ) -> Result<(Phase1Output, ResilienceCounters, PhaseStatus), NeatError> {
-    let exec = Executor::new(threads);
-    let total = dataset.len();
-    if !exec.is_parallel_for(total) {
-        return form_base_clusters_seq_ctl(net, dataset, insert_junctions, policy, ctl);
-    }
-    let trajectories = dataset.trajectories();
-
-    // Each worker owns a private shortest-path engine; outcomes come back
-    // in dataset order, so folding below is identical to the sequential
-    // loop. Trajectories run speculatively against recorder controls and
-    // charge the real budget in dataset order — the interrupt cut point
-    // (and therefore the delivered prefix) is bit-identical to a
-    // single-threaded run.
-    let run = exec.try_map_ctl(
-        total,
+    let arena = SampleArena::from_dataset(dataset);
+    let total = arena.len();
+    let run = Executor::new(threads).try_map_ctl(
+        total.div_ceil(CHUNK),
         ctl,
         || ShortestPathEngine::new(net),
-        |i, engine, cc| match extract_with_policy(
-            net,
-            engine,
-            &trajectories[i],
-            insert_junctions,
-            policy,
-            Some(cc),
-        ) {
-            TrajOutcome::Interrupted(why) => Err(why),
-            other => Ok(other),
+        |c, engine, cc| {
+            let range = c * CHUNK..((c + 1) * CHUNK).min(total);
+            extract_chunk(net, engine, &arena, range, insert_junctions, policy, cc)
         },
     );
-    let (outcomes, halted) = (run.items, run.halted);
 
     let mut counters = ResilienceCounters::default();
-    let mut all_frags: Vec<TFragment> = Vec::new();
     let mut done = 0usize;
     let mut samples_scanned = 0usize;
-    let mut status = PhaseStatus::Complete;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            TrajOutcome::Ok(frags) => {
-                all_frags.extend(frags);
-                done += 1;
-                samples_scanned += trajectories[i].len();
+    let mut halted = run.halted;
+    let mut chunks = Vec::with_capacity(run.items.len());
+    for mut chunk in run.items {
+        for outcome in chunk.outcomes.drain(..) {
+            match outcome {
+                SlotOutcome::Ok => {}
+                SlotOutcome::Repaired => counters.repaired += 1,
+                SlotOutcome::Skipped(id) => {
+                    counters.skipped += 1;
+                    counters.skipped_ids.push(id);
+                }
+                // Strict mode aborts the run with the earliest failure in
+                // dataset order.
+                SlotOutcome::Failed(e) => return Err(e),
             }
-            TrajOutcome::Repaired(frags) => {
-                counters.repaired += 1;
-                all_frags.extend(frags);
-                done += 1;
-                samples_scanned += trajectories[i].len();
-            }
-            TrajOutcome::Skipped(id) => {
-                counters.skipped += 1;
-                counters.skipped_ids.push(id);
-                done += 1;
-                samples_scanned += trajectories[i].len();
-            }
-            TrajOutcome::Failed(e) => return Err(e),
-            // Interrupts surface through `halted`; a stray outcome here is
-            // folded conservatively as the end of the delivered prefix.
-            TrajOutcome::Interrupted(why) => {
-                status = PhaseStatus::Partial { done, total, why };
-                break;
-            }
+            done += 1;
+        }
+        samples_scanned += chunk.samples;
+        let stop = chunk.halted.take();
+        chunks.push(chunk);
+        if stop.is_some() {
+            halted = stop;
+            break;
         }
     }
-    if let (PhaseStatus::Complete, Some(why)) = (&status, halted) {
-        status = PhaseStatus::Partial { done, total, why };
-    }
-    let keys = segment_keys(&all_frags);
+    let status = match halted {
+        None => PhaseStatus::Complete,
+        Some(why) => PhaseStatus::Partial { done, total, why },
+    };
     Ok((
-        group_into_clusters(&[(all_frags, keys)], samples_scanned),
+        group_into_clusters(&chunks, samples_scanned),
         counters,
         status,
     ))
 }
 
-/// Outcome of extracting one trajectory view on the arena fast path.
-/// Fragments go straight into the caller's shared buffer, so the
-/// outcome carries bookkeeping only.
-enum SlotOutcome {
-    Ok,
-    Repaired,
-    Skipped(TrajectoryId),
-    Failed(NeatError),
+/// Extracts the trajectories `range` of the arena into one [`Chunk`].
+/// A strict failure ends the chunk (the fold reports it); an interrupt
+/// ends it with the completed prefix, or fails the item when nothing
+/// completed.
+fn extract_chunk(
+    net: &RoadNetwork,
+    engine: &mut ShortestPathEngine,
+    arena: &SampleArena,
+    range: std::ops::Range<usize>,
+    insert_junctions: bool,
+    policy: ErrorPolicy,
+    ctl: &Control,
+) -> Result<Chunk, Interrupt> {
+    // Pre-size from the chunk's sample count: fragments rarely exceed
+    // half the samples, so this usually avoids every growth-copy.
+    let mut chunk = Chunk {
+        frags: Vec::with_capacity(arena.samples_in(range.clone()) / 2),
+        keys: Vec::new(),
+        outcomes: Vec::with_capacity(range.len()),
+        samples: 0,
+        halted: None,
+    };
+    for i in range {
+        let view = arena.view(i);
+        match extract_with_policy(
+            net,
+            engine,
+            &view,
+            insert_junctions,
+            policy,
+            ctl,
+            &mut chunk.frags,
+        ) {
+            Ok(outcome) => {
+                let failed = matches!(outcome, SlotOutcome::Failed(_));
+                chunk.outcomes.push(outcome);
+                chunk.samples += view.len();
+                if failed {
+                    break;
+                }
+            }
+            Err(why) if chunk.outcomes.is_empty() => return Err(why),
+            Err(why) => {
+                chunk.halted = Some(why);
+                break;
+            }
+        }
+    }
+    chunk.keys = segment_keys(&chunk.frags);
+    Ok(chunk)
+}
+
+/// Segment keys mirroring `frags[i].segment.index()` — the compact scan
+/// input for the grouping counting sort.
+fn segment_keys(frags: &[TFragment]) -> Vec<u32> {
+    frags
+        .iter()
+        .map(|f| f.segment.index() as u32) // lint:allow(L4) reason=SegmentId is u32-backed, so index() round-trips losslessly
+        .collect()
+}
+
+/// Extracts one trajectory view under an error policy, appending its
+/// fragments to `out` and rolling `out` back on any error or interrupt.
+///
+/// # Errors
+///
+/// The interrupt `ctl` reports, at the per-trajectory check or inside a
+/// gap-repair route. Interrupts bypass the error policy: they are
+/// verdicts on the *run*, not on this trajectory's data.
+fn extract_with_policy(
+    net: &RoadNetwork,
+    engine: &mut ShortestPathEngine,
+    view: &TrajView<'_>,
+    insert_junctions: bool,
+    policy: ErrorPolicy,
+    ctl: &Control,
+    out: &mut Vec<TFragment>,
+) -> Result<SlotOutcome, Interrupt> {
+    ctl.check()?;
+    let mark = out.len();
+    let err = match extract_view_into(net, engine, view, insert_junctions, ctl, out) {
+        Ok(()) => return Ok(SlotOutcome::Ok),
+        Err(e) => e,
+    };
+    out.truncate(mark);
+    match (err, policy) {
+        (NeatError::Interrupted(why), _) => Err(why),
+        (e, ErrorPolicy::Strict) => Ok(SlotOutcome::Failed(e)),
+        (_, ErrorPolicy::Skip) => Ok(SlotOutcome::Skipped(view.id)),
+        (_, ErrorPolicy::Repair) => {
+            // Drop the points the network cannot place; if enough remain
+            // to form a trajectory, extract from the rest.
+            let kept: Vec<RoadLocation> = (0..view.len())
+                .map(|j| view.location(j))
+                .filter(|p| net.segment(p.segment).is_ok())
+                .collect();
+            let Ok(repaired) = Trajectory::new(view.id, kept) else {
+                return Ok(SlotOutcome::Skipped(view.id));
+            };
+            let one = SampleArena::from_trajectories(std::slice::from_ref(&repaired));
+            match extract_view_into(net, engine, &one.view(0), insert_junctions, ctl, out) {
+                Ok(()) => Ok(SlotOutcome::Repaired),
+                Err(e) => {
+                    out.truncate(mark);
+                    match e {
+                        NeatError::Interrupted(why) => Err(why),
+                        _ => Ok(SlotOutcome::Skipped(view.id)),
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Appends one view's fragments to `out`, validating every sample's
 /// segment against the network up front. On error, `out` is left with
 /// partial fragments appended — the caller truncates back to its mark.
 ///
-/// The flat pre-scan reports the same error as the legacy per-fragment
-/// post-validation: the first invalid sample's segment. (Fragments are
-/// emitted in sample order, so the first invalid fragment is the run of
-/// the first invalid sample; and when junction insertion trips first,
-/// `junction_chain` fails on the transition *into* that same sample.
-/// Pass-through fragments need no check — their segments come from the
-/// network's own router.)
+/// The flat pre-scan reports the first invalid sample's segment, and it
+/// runs before any routing: a trajectory the network cannot place
+/// charges `ctl` no settled nodes. (Pass-through fragments need no
+/// check — their segments come from the network's own router.)
 fn extract_view_into(
     net: &RoadNetwork,
     engine: &mut ShortestPathEngine,
     view: &TrajView<'_>,
     insert_junctions: bool,
+    ctl: &Control,
     out: &mut Vec<TFragment>,
 ) -> Result<(), NeatError> {
     let max = net.segment_count();
@@ -503,236 +434,29 @@ fn extract_view_into(
         return Err(NeatError::UnknownSegment(SegmentId::new(bad as usize)));
     }
     if insert_junctions {
-        extract_fragments_view(net, engine, view, out)?;
+        extract_fragments_view(net, engine, view, ctl, out)?;
     } else {
         view.split_into_fragments_into(out);
     }
     Ok(())
 }
 
-/// Arena-path twin of [`extract_with_policy`]: extracts one trajectory
-/// view under an error policy, appending fragments to the shared chunk
-/// buffer and rolling the buffer back on any error.
-fn extract_view_with_policy(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    view: &TrajView<'_>,
-    insert_junctions: bool,
-    policy: ErrorPolicy,
-    out: &mut Vec<TFragment>,
-) -> SlotOutcome {
-    let mark = out.len();
-    match extract_view_into(net, engine, view, insert_junctions, out) {
-        Ok(()) => SlotOutcome::Ok,
-        Err(e) => {
-            out.truncate(mark);
-            match policy {
-                ErrorPolicy::Strict => SlotOutcome::Failed(e),
-                ErrorPolicy::Skip => SlotOutcome::Skipped(view.id),
-                ErrorPolicy::Repair => {
-                    // Drop the points the network cannot place; if enough
-                    // remain to form a trajectory, extract from the rest.
-                    let kept: Vec<RoadLocation> = (0..view.len())
-                        .map(|j| view.location(j))
-                        .filter(|p| net.segment(p.segment).is_ok())
-                        .collect();
-                    if kept.len() >= 2 {
-                        if let Ok(repaired) = Trajectory::new(view.id, kept) {
-                            if let Ok(frags) =
-                                try_extract(net, engine, &repaired, insert_junctions, None)
-                            {
-                                out.extend(frags);
-                                return SlotOutcome::Repaired;
-                            }
-                        }
-                    }
-                    SlotOutcome::Skipped(view.id)
-                }
-            }
-        }
-    }
-}
-
-/// The arena fast path: the whole dataset is flattened into a
-/// [`SampleArena`] and scanned chunk by chunk via
-/// [`Executor::map_chunks`]. Each worker appends fragments for the
-/// trajectories of its chunk into one contiguous per-chunk buffer —
-/// no per-trajectory `Vec` allocations — and chunk boundaries depend
-/// only on the chunk size, so the folded fragment stream (and every
-/// downstream cluster) is bit-identical at any thread count.
-fn form_base_clusters_arena(
-    net: &RoadNetwork,
-    dataset: &Dataset,
-    insert_junctions: bool,
-    threads: usize,
-    policy: ErrorPolicy,
-) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
-    let arena = SampleArena::from_dataset(dataset);
-    let exec = Executor::new(threads);
-    let n = arena.len();
-    let chunks = exec.map_chunks(
-        n,
-        || ShortestPathEngine::new(net),
-        |range, engine| {
-            // Pre-size from the chunk's sample count: fragments rarely
-            // exceed half the samples, so this usually avoids every
-            // growth-copy of the (large) fragment buffer.
-            let mut frags: Vec<TFragment> = Vec::with_capacity(arena.samples_in(range.clone()) / 2);
-            let mut meta: Vec<SlotOutcome> = Vec::with_capacity(range.len());
-            for i in range {
-                let view = arena.view(i);
-                let outcome = extract_view_with_policy(
-                    net,
-                    engine,
-                    &view,
-                    insert_junctions,
-                    policy,
-                    &mut frags,
-                );
-                let failed = matches!(outcome, SlotOutcome::Failed(_));
-                meta.push(outcome);
-                if failed {
-                    // Strict mode aborts the run; the fold below surfaces
-                    // the earliest failure in dataset order.
-                    break;
-                }
-            }
-            // Mirror the segment keys while the chunk is cache-hot: the
-            // grouping counting sort then scans compact u32 runs.
-            let keys = segment_keys(&frags);
-            (frags, keys, meta)
-        },
-    );
-
-    let mut counters = ResilienceCounters::default();
-    let mut samples_scanned = 0usize;
-    let mut frag_lists: Vec<(Vec<TFragment>, Vec<u32>)> = Vec::with_capacity(chunks.len());
-    let mut idx = 0usize;
-    for (frags, keys, meta) in chunks {
-        for outcome in meta {
-            match outcome {
-                SlotOutcome::Ok => {}
-                SlotOutcome::Repaired => counters.repaired += 1,
-                SlotOutcome::Skipped(id) => {
-                    counters.skipped += 1;
-                    counters.skipped_ids.push(id);
-                }
-                SlotOutcome::Failed(e) => return Err(e),
-            }
-            samples_scanned += arena.view(idx).len();
-            idx += 1;
-        }
-        frag_lists.push((frags, keys));
-    }
-    Ok((group_into_clusters(&frag_lists, samples_scanned), counters))
-}
-
-/// Extracts the t-fragments of one trajectory, inserting junction points at
-/// segment transitions.
+/// Extracts the t-fragments of one trajectory view, inserting junction
+/// points at segment transitions. Scans the view's dense `&[u32]`
+/// segment run for boundaries and only reconstructs `RoadLocation`s at
+/// run edges; sample coordinates round-trip bit-identically through the
+/// arena. A fragment's point count is its samples plus the junctions
+/// inserted at its ends: `(j - run_start) + open_extra`, plus one when a
+/// junction closes it.
 ///
 /// # Errors
 ///
-/// Returns [`NeatError::UnknownSegment`] for samples on unknown segments.
-pub fn extract_fragments_with_junctions(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    tr: &Trajectory,
-) -> Result<Vec<TFragment>, NeatError> {
-    extract_fragments_ctl(net, engine, tr, None)
-}
-
-/// [`extract_fragments_with_junctions`] under an optional [`Control`]:
-/// the gap-repair shortest paths become interruptible, surfacing
-/// [`NeatError::Interrupted`] for the caller to convert into an outcome.
-fn extract_fragments_ctl(
-    net: &RoadNetwork,
-    engine: &mut ShortestPathEngine,
-    tr: &Trajectory,
-    ctl: Option<&Control>,
-) -> Result<Vec<TFragment>, NeatError> {
-    let pts = tr.points();
-    let mut out: Vec<TFragment> = Vec::new();
-    // Current open fragment.
-    let mut cur_first: RoadLocation = pts[0];
-    let mut cur_last: RoadLocation = pts[0];
-    let mut cur_count: usize = 1;
-
-    let close = |out: &mut Vec<TFragment>, first: RoadLocation, last: RoadLocation, count| {
-        out.push(TFragment {
-            trajectory: tr.id(),
-            segment: first.segment,
-            first,
-            last,
-            point_count: count,
-        });
-    };
-
-    for q in &pts[1..] {
-        let p = cur_last;
-        if q.segment == p.segment {
-            cur_last = *q;
-            cur_count += 1;
-            continue;
-        }
-        // Segment transition: recover the junction chain between p and q.
-        match junction_chain(net, engine, p, *q, ctl)? {
-            Some(Chain::Contiguous(jpos, jt)) => {
-                // Close the current fragment at the shared junction and
-                // reopen on q's segment from that same junction.
-                cur_last = RoadLocation::new(p.segment, jpos, jt);
-                cur_count += 1;
-                close(&mut out, cur_first, cur_last, cur_count);
-                cur_first = RoadLocation::new(q.segment, jpos, jt);
-                cur_last = *q;
-                cur_count = 2;
-            }
-            Some(Chain::Repaired(junctions, mid_segments, times)) => {
-                // Close the current fragment at the first junction.
-                let j0 = RoadLocation::new(p.segment, junctions[0], times[0]);
-                cur_last = j0;
-                cur_count += 1;
-                close(&mut out, cur_first, cur_last, cur_count);
-                // Pass-through fragments for intermediate segments.
-                for (i, &mid) in mid_segments.iter().enumerate() {
-                    let a = RoadLocation::new(mid, junctions[i], times[i]);
-                    let b = RoadLocation::new(mid, junctions[i + 1], times[i + 1]);
-                    close(&mut out, a, b, 2);
-                }
-                // Open the next fragment on q's segment at the last junction.
-                let jk = RoadLocation::new(
-                    q.segment,
-                    *junctions.last().expect("chain non-empty"), // lint:allow(L1) reason=the chain loop pushes at least one junction/time first
-                    *times.last().expect("chain non-empty"),
-                );
-                cur_first = jk;
-                cur_last = *q;
-                cur_count = 2;
-            }
-            None => {
-                // Unreachable gap: split without junction insertion.
-                close(&mut out, cur_first, cur_last, cur_count);
-                cur_first = *q;
-                cur_last = *q;
-                cur_count = 1;
-            }
-        }
-    }
-    close(&mut out, cur_first, cur_last, cur_count);
-    Ok(out)
-}
-
-/// Arena twin of [`extract_fragments_ctl`] (always uncontrolled): scans
-/// the view's dense `&[u32]` segment run for boundaries and only
-/// reconstructs `RoadLocation`s at run edges. Produces the exact same
-/// fragment stream: sample coordinates round-trip bit-identically
-/// through the arena, junction chains are computed from the same `p`/`q`
-/// pairs in the same order, and the point-count arithmetic below mirrors
-/// the legacy `cur_count` bookkeeping
-/// (`(j - run_start) + open_extra [+ 1 at a junction close]`).
+/// [`NeatError::Interrupted`] when `ctl` stops a gap-repair route.
 fn extract_fragments_view(
     net: &RoadNetwork,
     engine: &mut ShortestPathEngine,
     view: &TrajView<'_>,
+    ctl: &Control,
     out: &mut Vec<TFragment>,
 ) -> Result<(), NeatError> {
     let segs = view.segs();
@@ -762,7 +486,7 @@ fn extract_fragments_view(
         }
         // Segment transition: recover the junction chain between p and q.
         let q = view.location(j);
-        match junction_chain(net, engine, p, q, None)? {
+        match junction_chain(net, engine, p, q, ctl)? {
             Some(Chain::Contiguous(jpos, jt)) => {
                 // Close the current fragment at the shared junction and
                 // reopen on q's segment from that same junction.
@@ -845,7 +569,7 @@ fn junction_chain(
     engine: &mut ShortestPathEngine,
     p: RoadLocation,
     q: RoadLocation,
-    ctl: Option<&Control>,
+    ctl: &Control,
 ) -> Result<Option<Chain>, NeatError> {
     let ep = net
         .segment(p.segment)
@@ -871,12 +595,9 @@ fn junction_chain(
         for v in [eq.a, eq.b] {
             let d_pu = p.position.distance(net.position(u));
             let d_vq = net.position(v).distance(q.position);
-            let found = match ctl {
-                Some(c) => engine
-                    .route_ctl(net, u, v, TravelMode::Directed, c)
-                    .map_err(NeatError::Interrupted)?,
-                None => engine.route(net, u, v, TravelMode::Directed),
-            };
+            let found = engine
+                .route_ctl(net, u, v, TravelMode::Directed, ctl)
+                .map_err(NeatError::Interrupted)?;
             if let Some(route) = found {
                 let cost = d_pu + route.length + d_vq;
                 if best.as_ref().is_none_or(|(c, ..)| cost < *c) {
@@ -931,13 +652,37 @@ mod tests {
         chain_network(5, 100.0, 10.0)
     }
 
+    /// The t-fragments of one trajectory, with junction insertion, in
+    /// extraction order.
+    fn fragments_of(net: &RoadNetwork, tr: &Trajectory) -> Vec<TFragment> {
+        let arena = SampleArena::from_trajectories(std::slice::from_ref(tr));
+        let mut out = Vec::new();
+        extract_view_into(
+            net,
+            &mut ShortestPathEngine::new(net),
+            &arena.view(0),
+            true,
+            &Control::unlimited(),
+            &mut out,
+        )
+        .unwrap();
+        out
+    }
+
+    fn with_policy(
+        net: &RoadNetwork,
+        data: &Dataset,
+        policy: ErrorPolicy,
+    ) -> Result<(Phase1Output, ResilienceCounters), NeatError> {
+        form_base_clusters_parallel_with_policy(net, data, true, 1, policy)
+    }
+
     #[test]
     fn contiguous_transition_inserts_junction() {
         let net = net5();
-        let mut eng = ShortestPathEngine::new(&net);
         // Sample on s0 at x=50, then on s1 at x=150: junction n1 at x=100.
         let tr = traj(1, vec![loc(0, 50.0, 0.0), loc(1, 150.0, 10.0)]);
-        let frags = extract_fragments_with_junctions(&net, &mut eng, &tr).unwrap();
+        let frags = fragments_of(&net, &tr);
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].segment, SegmentId::new(0));
         // Fragment 0 ends at the junction (x=100), halfway in time.
@@ -952,10 +697,9 @@ mod tests {
     #[test]
     fn gap_repair_creates_passthrough_fragments() {
         let net = net5();
-        let mut eng = ShortestPathEngine::new(&net);
         // Sample on s0 then s3: s1 and s2 traversed between samples.
         let tr = traj(1, vec![loc(0, 50.0, 0.0), loc(3, 350.0, 30.0)]);
-        let frags = extract_fragments_with_junctions(&net, &mut eng, &tr).unwrap();
+        let frags = fragments_of(&net, &tr);
         let segs: Vec<usize> = frags.iter().map(|f| f.segment.index()).collect();
         assert_eq!(segs, vec![0, 1, 2, 3]);
         // Pass-through fragments carry the inserted junction endpoints.
@@ -1033,7 +777,6 @@ mod tests {
         let s0 = b.add_segment(a0, a1, 10.0).unwrap();
         let s1 = b.add_segment(c0, c1, 10.0).unwrap();
         let net = b.build().unwrap();
-        let mut eng = ShortestPathEngine::new(&net);
         let tr = traj(
             1,
             vec![
@@ -1041,7 +784,7 @@ mod tests {
                 RoadLocation::new(s1, Point::new(50.0, 5000.0), 100.0),
             ],
         );
-        let frags = extract_fragments_with_junctions(&net, &mut eng, &tr).unwrap();
+        let frags = fragments_of(&net, &tr);
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].point_count, 1);
         assert_eq!(frags[1].point_count, 1);
@@ -1082,7 +825,15 @@ mod tests {
         }
         let seq = form_base_clusters(&net, &data, true).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let par = form_base_clusters_parallel(&net, &data, true, threads).unwrap();
+            let par = form_base_clusters_parallel_with_policy(
+                &net,
+                &data,
+                true,
+                threads,
+                ErrorPolicy::Strict,
+            )
+            .unwrap()
+            .0;
             assert_eq!(par, seq, "threads = {threads}");
         }
     }
@@ -1095,7 +846,9 @@ mod tests {
             data.push(traj(id, vec![loc(0, 10.0, 0.0), loc(0, 20.0, 5.0)]));
         }
         data.push(traj(99, vec![loc(77, 0.0, 0.0), loc(77, 1.0, 1.0)]));
-        let err = form_base_clusters_parallel(&net, &data, true, 4).unwrap_err();
+        let err =
+            form_base_clusters_parallel_with_policy(&net, &data, true, 4, ErrorPolicy::Strict)
+                .unwrap_err();
         assert!(matches!(err, NeatError::UnknownSegment(_)));
     }
 
@@ -1118,8 +871,7 @@ mod tests {
     fn skip_policy_isolates_bad_trajectories() {
         let net = net5();
         let data = mixed_dataset();
-        let (out, counters) =
-            form_base_clusters_with_policy(&net, &data, true, ErrorPolicy::Skip).unwrap();
+        let (out, counters) = with_policy(&net, &data, ErrorPolicy::Skip).unwrap();
         assert_eq!(counters.skipped, 2);
         assert_eq!(counters.repaired, 0);
         assert_eq!(
@@ -1134,8 +886,7 @@ mod tests {
     fn repair_policy_drops_unknown_points_and_keeps_the_rest() {
         let net = net5();
         let data = mixed_dataset();
-        let (out, counters) =
-            form_base_clusters_with_policy(&net, &data, true, ErrorPolicy::Repair).unwrap();
+        let (out, counters) = with_policy(&net, &data, ErrorPolicy::Repair).unwrap();
         // 91 loses its unknown point but keeps 2 placeable ones; 90 has
         // nothing left and is skipped.
         assert_eq!(counters.repaired, 1);
@@ -1149,8 +900,7 @@ mod tests {
     fn strict_policy_matches_legacy_failfast() {
         let net = net5();
         let data = mixed_dataset();
-        let err =
-            form_base_clusters_with_policy(&net, &data, true, ErrorPolicy::Strict).unwrap_err();
+        let err = with_policy(&net, &data, ErrorPolicy::Strict).unwrap_err();
         assert!(matches!(err, NeatError::UnknownSegment(_)));
     }
 
@@ -1167,54 +917,12 @@ mod tests {
             vec![loc(0, 40.0, 0.0), loc(88, 999.0, 5.0), loc(1, 160.0, 12.0)],
         ));
         for policy in [ErrorPolicy::Skip, ErrorPolicy::Repair] {
-            let seq = form_base_clusters_with_policy(&net, &data, true, policy).unwrap();
+            let seq = with_policy(&net, &data, policy).unwrap();
             for threads in [2usize, 4, 8] {
                 let par =
                     form_base_clusters_parallel_with_policy(&net, &data, true, threads, policy)
                         .unwrap();
                 assert_eq!(par, seq, "{policy:?} threads={threads}");
-            }
-        }
-    }
-
-    /// The arena fast path must reproduce the legacy per-trajectory path
-    /// exactly — clusters, counters, and the samples_scanned counter —
-    /// for every policy, junction mode, and thread count.
-    #[test]
-    fn arena_path_matches_legacy_path() {
-        let net = net5();
-        let mut data = mixed_dataset();
-        // Widen the fixture: multi-fragment trajectories, gap repair, and
-        // enough rows to cross several executor chunks.
-        for id in 100..170 {
-            let s = (id % 3) as usize;
-            data.push(traj(
-                id,
-                vec![
-                    loc(s, s as f64 * 100.0 + 20.0, 0.0),
-                    loc(s, s as f64 * 100.0 + 40.0, 5.0),
-                    loc(s + 1, (s + 1) as f64 * 100.0 + 30.0, 15.0),
-                    loc(3, 350.0, 40.0),
-                ],
-            ));
-        }
-        for insert_junctions in [false, true] {
-            for policy in [ErrorPolicy::Skip, ErrorPolicy::Repair] {
-                let ctl = Control::unlimited();
-                let (legacy, legacy_counters, status) =
-                    form_base_clusters_seq_ctl(&net, &data, insert_junctions, policy, &ctl)
-                        .unwrap();
-                assert_eq!(status, PhaseStatus::Complete);
-                for threads in [1usize, 2, 8] {
-                    let (arena, counters) =
-                        form_base_clusters_arena(&net, &data, insert_junctions, threads, policy)
-                            .unwrap();
-                    assert_eq!(
-                        arena, legacy,
-                        "junctions={insert_junctions} {policy:?} threads={threads}"
-                    );
-                    assert_eq!(counters, legacy_counters);
-                }
             }
         }
     }
@@ -1225,18 +933,132 @@ mod tests {
         let data = mixed_dataset();
         // 3 clean trajectories × 2 samples + one skipped pair + one
         // 3-sample trajectory: every policy-processed sample counts.
-        let (out, _) =
-            form_base_clusters_with_policy(&net, &data, true, ErrorPolicy::Skip).unwrap();
+        let (out, _) = with_policy(&net, &data, ErrorPolicy::Skip).unwrap();
         assert_eq!(out.samples_scanned, 3 * 2 + 2 + 3);
+    }
+
+    /// Segments are validated before any routing, so a trajectory the
+    /// network cannot place charges no settled nodes under Skip, and
+    /// under Repair only its repaired points' routes are charged.
+    #[test]
+    fn unplaceable_trajectory_charges_only_what_its_placeable_points_route() {
+        let net = net5();
+        // s0 → s3 needs a gap-repair route before the unknown sample.
+        let bad = traj(
+            1,
+            vec![loc(0, 50.0, 0.0), loc(3, 350.0, 30.0), loc(77, 0.0, 40.0)],
+        );
+        let mut data = Dataset::new("bad");
+        data.push(bad);
+        let skip = Control::unlimited();
+        form_base_clusters_ctl(&net, &data, true, 1, ErrorPolicy::Skip, &skip).unwrap();
+        assert_eq!((skip.ops(), skip.settled()), (1, 0));
+
+        let mut clean = Dataset::new("clean");
+        clean.push(traj(1, vec![loc(0, 50.0, 0.0), loc(3, 350.0, 30.0)]));
+        let strict = Control::unlimited();
+        form_base_clusters_ctl(&net, &clean, true, 1, ErrorPolicy::Strict, &strict).unwrap();
+        assert!(strict.settled() > 0, "the gap is repaired by routing");
+        let repair = Control::unlimited();
+        let (_, counters, _) =
+            form_base_clusters_ctl(&net, &data, true, 1, ErrorPolicy::Repair, &repair).unwrap();
+        assert_eq!(counters.repaired, 1);
+        assert_eq!(
+            (repair.ops(), repair.settled()),
+            (strict.ops(), strict.settled())
+        );
+    }
+
+    /// A budget or cancel cut anywhere in a dataset that spans many
+    /// chunks delivers exactly the trajectories whose charges fit the
+    /// limit — not a chunk-aligned prefix — with the same clusters,
+    /// counters, status and charges at every thread count, and the
+    /// clusters equal an uncontrolled run over that prefix.
+    #[test]
+    fn interrupt_cut_points_are_exact_and_thread_invariant_across_chunks() {
+        use neat_runctl::{CancelToken, RunBudget};
+        let net = net5();
+        let mut data = Dataset::new("chunks");
+        for id in 0..300u64 {
+            let pts = if id % 3 == 0 {
+                vec![loc(0, 50.0, 0.0), loc(3, 350.0, 30.0)]
+            } else {
+                vec![loc(1, 120.0, 0.0), loc(1, 170.0, 5.0), loc(2, 250.0, 10.0)]
+            };
+            data.push(traj(id, pts));
+        }
+        // Cumulative (ops, settled) after each trajectory, charged alone.
+        let mut cumulative = vec![(0u64, 0u64)];
+        for tr in data.trajectories() {
+            let mut one = Dataset::new("one");
+            one.push(tr.clone());
+            let ctl = Control::unlimited();
+            form_base_clusters_ctl(&net, &one, true, 1, ErrorPolicy::Skip, &ctl).unwrap();
+            let (ops, settled) = cumulative[cumulative.len() - 1];
+            cumulative.push((ops + ctl.ops(), settled + ctl.settled()));
+        }
+        let total = data.len();
+        let (total_ops, _) = cumulative[total];
+        // Op budget, cancel fuse and settled-node budget at `at`, each
+        // with the charge its limit counts.
+        let arm = |k: usize, at: u64| match k {
+            0 => Control::new(RunBudget::unlimited().with_max_ops(at), CancelToken::new()),
+            1 => Control::new(RunBudget::unlimited(), CancelToken::armed_after(at)),
+            _ => Control::new(
+                RunBudget::unlimited().with_max_settled_nodes(at),
+                CancelToken::new(),
+            ),
+        };
+        let charge = |k: usize, c: &(u64, u64)| if k < 2 { c.0 } else { c.1 };
+        for at in (0..total_ops).step_by(37) {
+            for k in 0..3 {
+                let fits = cumulative.iter().filter(|c| charge(k, c) <= at).count() - 1;
+                let run = |threads| {
+                    let ctl = arm(k, at);
+                    let out =
+                        form_base_clusters_ctl(&net, &data, true, threads, ErrorPolicy::Skip, &ctl)
+                            .unwrap();
+                    (out, ctl.ops(), ctl.settled())
+                };
+                let reference = run(1);
+                let ((clusters, counters, status), ..) = &reference;
+                let done = match *status {
+                    PhaseStatus::Partial { done, .. } => done,
+                    _ => total,
+                };
+                assert_eq!(done, fits, "arming {k} at {at}");
+                let mut prefix = Dataset::new("prefix");
+                prefix.extend(data.trajectories()[..done].iter().cloned());
+                let plain = form_base_clusters_parallel_with_policy(
+                    &net,
+                    &prefix,
+                    true,
+                    1,
+                    ErrorPolicy::Skip,
+                )
+                .unwrap();
+                assert_eq!(
+                    (clusters, counters),
+                    (&plain.0, &plain.1),
+                    "prefix of {done}"
+                );
+                for threads in [2, 8] {
+                    assert_eq!(
+                        run(threads),
+                        reference,
+                        "arming {k} at {at} threads={threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn direction_preserved_in_fragment_order() {
         let net = net5();
-        let mut eng = ShortestPathEngine::new(&net);
         // Travel backwards: s3 → s0.
         let tr = traj(1, vec![loc(3, 350.0, 0.0), loc(0, 50.0, 30.0)]);
-        let frags = extract_fragments_with_junctions(&net, &mut eng, &tr).unwrap();
+        let frags = fragments_of(&net, &tr);
         let segs: Vec<usize> = frags.iter().map(|f| f.segment.index()).collect();
         assert_eq!(segs, vec![3, 2, 1, 0]);
     }

@@ -633,34 +633,6 @@ pub struct ControlledRefinement {
     pub elb_only: bool,
 }
 
-/// Phase 3 under a [`Control`], walking the in-phase degradation ladder:
-///
-/// 1. **Exhaustive** — exact network distances (with the ELB/ALT
-///    pre-filter when configured), one cancel point per candidate pair
-///    and per settled node inside each shortest path or one-to-many
-///    expansion.
-/// 2. **ELB-only** — on budget exhaustion under [`OverrunMode::Degrade`]
-///    the remaining pairs are decided by the Euclidean lower bound alone
-///    (`d_E ≤ ε`), which costs no shortest paths. Only cancellation is
-///    polled from here on: the budget is knowingly spent.
-/// 3. **Stop** — on cancellation (any rung) or any interrupt under
-///    [`OverrunMode::Partial`], refinement stops; flows not yet grouped
-///    are emitted as singleton clusters so the output stays a valid
-///    partition of the input.
-///
-/// # Errors
-///
-/// Same as [`refine_flow_clusters`] — interrupts are reported in the
-/// returned status, never as errors.
-pub fn refine_flow_clusters_ctl(
-    net: &RoadNetwork,
-    flows: Vec<FlowCluster>,
-    config: &NeatConfig,
-    ctl: &Control,
-) -> Result<ControlledRefinement, NeatError> {
-    refine_inner(net, flows, config, Some(ctl), None)
-}
-
 /// `true` when interrupt `why` should switch the phase to the ELB-only
 /// continuation rather than stop it: budget-style interrupts under
 /// [`OverrunMode::Degrade`], and only if not already degraded.
@@ -800,6 +772,23 @@ fn scan_exact_sequential(
 /// the clusters, status and [`Phase3Stats`] of a refinement that
 /// completes equal the cold ones, and `SessionCache` states the budget
 /// semantics.
+///
+/// Under a [`Control`] the phase walks the in-phase degradation ladder:
+///
+/// 1. **Exhaustive** — exact network distances (with the ELB/ALT
+///    pre-filter when configured), one cancel point per candidate pair
+///    and per settled node inside each shortest path or one-to-many
+///    expansion.
+/// 2. **ELB-only** — on budget exhaustion under [`OverrunMode::Degrade`]
+///    the remaining pairs are decided by the Euclidean lower bound alone
+///    (`d_E ≤ ε`), which costs no shortest paths. Only cancellation is
+///    polled from here on: the budget is knowingly spent.
+/// 3. **Stop** — on cancellation (any rung) or any interrupt under
+///    [`OverrunMode::Partial`], refinement stops; flows not yet grouped
+///    are emitted as singleton clusters so the output stays a valid
+///    partition of the input.
+///
+/// Interrupts are reported in the returned status, never as errors.
 pub(crate) fn refine_inner(
     net: &RoadNetwork,
     flows: Vec<FlowCluster>,

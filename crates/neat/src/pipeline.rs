@@ -10,11 +10,9 @@ use crate::config::NeatConfig;
 use crate::control::{Completeness, Degradation, DegradationStep, Outcome, PhaseStatus};
 use crate::error::NeatError;
 use crate::model::{BaseCluster, FlowCluster, TrajectoryCluster};
-use crate::phase1::{
-    form_base_clusters_ctl, form_base_clusters_parallel_with_policy, ResilienceCounters,
-};
-use crate::phase2::{form_flow_clusters, form_flow_clusters_ctl};
-use crate::phase3::{refine_flow_clusters, refine_flow_clusters_ctl, Phase3Stats};
+use crate::phase1::{form_base_clusters_ctl, ResilienceCounters};
+use crate::phase2::form_flow_clusters_inner;
+use crate::phase3::{refine_inner, Phase3Stats};
 use neat_rnet::RoadNetwork;
 use neat_runctl::Control;
 use neat_traj::sanitize::ErrorPolicy;
@@ -194,76 +192,8 @@ impl<'a> Neat<'a> {
         mode: Mode,
         policy: ErrorPolicy,
     ) -> Result<NeatResult, NeatError> {
-        self.config.validate()?;
-        let mut timings = PhaseTimings::default();
-
-        let t0 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let (p1, resilience) = form_base_clusters_parallel_with_policy(
-            self.net,
-            dataset,
-            self.config.insert_junctions,
-            self.config.threads,
-            policy,
-        )?;
-        timings.phase1 = t0.elapsed();
-        let base_cluster_count = p1.base_clusters.len();
-        let fragment_count = p1.fragment_count;
-        let samples_scanned = p1.samples_scanned;
-
-        if mode == Mode::Base {
-            return Ok(NeatResult {
-                mode,
-                base_clusters: p1.base_clusters,
-                base_cluster_count,
-                fragment_count,
-                samples_scanned,
-                flow_clusters: Vec::new(),
-                discarded_flows: 0,
-                clusters: Vec::new(),
-                phase3_stats: Phase3Stats::default(),
-                timings,
-                resilience,
-            });
-        }
-
-        let t1 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let p2 = form_flow_clusters(self.net, p1.base_clusters, &self.config)?;
-        timings.phase2 = t1.elapsed();
-
-        if mode == Mode::Flow {
-            return Ok(NeatResult {
-                mode,
-                base_clusters: Vec::new(),
-                base_cluster_count,
-                fragment_count,
-                samples_scanned,
-                flow_clusters: p2.flow_clusters,
-                discarded_flows: p2.discarded,
-                clusters: Vec::new(),
-                phase3_stats: Phase3Stats::default(),
-                timings,
-                resilience,
-            });
-        }
-
-        let t2 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let flow_clusters = p2.flow_clusters.clone();
-        let p3 = refine_flow_clusters(self.net, p2.flow_clusters, &self.config)?;
-        timings.phase3 = t2.elapsed();
-
-        Ok(NeatResult {
-            mode,
-            base_clusters: Vec::new(),
-            base_cluster_count,
-            fragment_count,
-            samples_scanned,
-            flow_clusters,
-            discarded_flows: p2.discarded,
-            clusters: p3.clusters,
-            phase3_stats: p3.stats,
-            timings,
-            resilience,
-        })
+        self.run_inner(dataset, mode, policy, None)
+            .map(|outcome| outcome.result)
     }
 
     /// Runs the pipeline under a [`Control`]: cooperative cancel points
@@ -287,11 +217,29 @@ impl<'a> Neat<'a> {
         policy: ErrorPolicy,
         ctl: &Control,
     ) -> Result<Outcome, NeatError> {
+        self.run_inner(dataset, mode, policy, Some(ctl))
+    }
+
+    /// The pipeline body behind both entry points. Without a control,
+    /// Phase 1 runs under an unlimited one and Phases 2–3 run
+    /// uncontrolled (Phase 3 keeps its parallel scans), so nothing
+    /// interrupts and the outcome is complete.
+    fn run_inner(
+        &self,
+        dataset: &Dataset,
+        mode: Mode,
+        policy: ErrorPolicy,
+        ctl: Option<&Control>,
+    ) -> Result<Outcome, NeatError> {
         self.config.validate()?;
         let requested = mode;
         let mut timings = PhaseTimings::default();
+        let unlimited = Control::unlimited();
+        // Phase 1 and the progress hooks take a control; phases 2–3 take the
+        // `Option`, so an uncontrolled run keeps phase 3's parallel scans.
+        let control = ctl.unwrap_or(&unlimited);
 
-        ctl.phase_start("phase1");
+        control.phase_start("phase1");
         let t0 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
         let (p1, resilience, s1) = form_base_clusters_ctl(
             self.net,
@@ -299,10 +247,10 @@ impl<'a> Neat<'a> {
             self.config.insert_junctions,
             self.config.threads,
             policy,
-            ctl,
+            control,
         )?;
         timings.phase1 = t0.elapsed();
-        ctl.phase_end("phase1");
+        control.phase_end("phase1");
         let base_cluster_count = p1.base_clusters.len();
         let fragment_count = p1.fragment_count;
         let samples_scanned = p1.samples_scanned;
@@ -354,11 +302,12 @@ impl<'a> Neat<'a> {
             });
         }
 
-        ctl.phase_start("phase2");
+        control.phase_start("phase2");
         let t1 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
-        let (p2, s2) = form_flow_clusters_ctl(self.net, p1.base_clusters, &self.config, ctl)?;
+        let (p2, s2) =
+            form_flow_clusters_inner(self.net, p1.base_clusters, &self.config, &mut None, ctl)?;
         timings.phase2 = t1.elapsed();
-        ctl.phase_end("phase2");
+        control.phase_end("phase2");
 
         if requested == Mode::Flow || !s2.is_complete() {
             // Middle rung: deliver flow-NEAT, possibly with a truncated
@@ -404,12 +353,12 @@ impl<'a> Neat<'a> {
             });
         }
 
-        ctl.phase_start("phase3");
+        control.phase_start("phase3");
         let t2 = Instant::now(); // lint:allow(L5) reason=phase timing instrumentation only; never influences clustering
         let flow_clusters = p2.flow_clusters.clone();
-        let refined = refine_flow_clusters_ctl(self.net, p2.flow_clusters, &self.config, ctl)?;
+        let refined = refine_inner(self.net, p2.flow_clusters, &self.config, ctl, None)?;
         timings.phase3 = t2.elapsed();
-        ctl.phase_end("phase3");
+        control.phase_end("phase3");
 
         let s3 = refined.status;
         let mut steps = Vec::new();

@@ -7,7 +7,7 @@
 //!   ([`RoadNetwork`], [`Segment`], [`graph`]),
 //! * road-network locations `(sid, x, y, t)` and offset arithmetic
 //!   ([`location`]),
-//! * shortest-path machinery (Dijkstra, bidirectional Dijkstra and A*) used
+//! * shortest-path machinery (Dijkstra and A*, with ALT landmarks) used
 //!   by the simulator, the map matcher and NEAT Phase 3 ([`path`]),
 //! * a uniform-grid spatial index for nearest-segment queries ([`index`]),
 //! * seeded synthetic network generators calibrated to the paper's three
@@ -26,7 +26,6 @@
 //! ```
 
 pub mod alt;
-pub mod bidi;
 pub mod error;
 pub mod geometry;
 pub mod graph;
@@ -36,9 +35,7 @@ pub mod io;
 pub mod location;
 pub mod netgen;
 pub mod path;
-pub mod rtree;
 
-pub use bidi::BidirectionalDijkstra;
 pub use error::RnetError;
 pub use geometry::Point;
 pub use graph::{NetworkStats, RoadNetwork, RoadNetworkBuilder, Segment};
@@ -46,4 +43,3 @@ pub use ids::{NodeId, SegmentId};
 pub use index::{GridScratch, SegmentIndex};
 pub use location::RoadLocation;
 pub use path::{Route, ShortestPathEngine};
-pub use rtree::SegmentRTree;

@@ -216,34 +216,6 @@ impl ShortestPathEngine {
         )
     }
 
-    /// Budget-aware [`ShortestPathEngine::distance`]: charges every node
-    /// settlement against `ctl` and stops mid-expansion when a limit
-    /// fires.
-    ///
-    /// # Errors
-    ///
-    /// Returns the latched [`Interrupt`] when the control stops the
-    /// search; `Ok(None)` still means plain unreachability.
-    pub fn distance_ctl(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        to: NodeId,
-        mode: TravelMode,
-        ctl: &Control,
-    ) -> Result<Option<f64>, Interrupt> {
-        self.search_ctl(
-            net,
-            from,
-            Some(to),
-            mode,
-            f64::INFINITY,
-            true,
-            CostModel::Distance,
-            Some(ctl),
-        )
-    }
-
     /// Undirected network distance computed with plain Dijkstra network
     /// expansion (no heuristic) — the paper's baseline for the Phase-3
     /// ablation (`opt-NEAT-Dijkstra`, Figure 7).
@@ -263,7 +235,7 @@ impl ShortestPathEngine {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::route_ctl`].
     pub fn distance_plain_ctl(
         &mut self,
         net: &RoadNetwork,
@@ -303,7 +275,7 @@ impl ShortestPathEngine {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::route_ctl`].
     pub fn distance_bounded_ctl(
         &mut self,
         net: &RoadNetwork,
@@ -345,11 +317,14 @@ impl ShortestPathEngine {
         Some(self.rebuild_route(from, to, length))
     }
 
-    /// Budget-aware [`ShortestPathEngine::route`].
+    /// Budget-aware [`ShortestPathEngine::route`]: charges every node
+    /// settlement against `ctl` and stops mid-expansion when a limit
+    /// fires.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Returns the latched [`Interrupt`] when the control stops the
+    /// search; `Ok(None)` still means plain unreachability.
     pub fn route_ctl(
         &mut self,
         net: &RoadNetwork,
@@ -451,7 +426,7 @@ impl ShortestPathEngine {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::route_ctl`].
     pub fn distances_from_ctl(
         &mut self,
         net: &RoadNetwork,
@@ -473,49 +448,13 @@ impl ShortestPathEngine {
     }
 
     /// Bounded one-to-many Dijkstra: exact distances from `from` to
-    /// every node within `bound`, as a sparse table.
+    /// every node within `bound`, as a sparse table. One expansion
+    /// answers *all* point queries `d(from, x) ≤ bound` exactly: a node
+    /// absent from an untargeted table is strictly farther than `bound`.
     ///
-    /// One expansion answers *all* point queries `d(from, x) ≤ bound`
-    /// exactly: a node absent from the table is strictly farther than
-    /// `bound`. This replaces repeated point-to-point searches from a
-    /// shared source (phase 3 asks for the distance from one
-    /// representative-route endpoint to every candidate endpoint within
-    /// ε) at the cost of a single ε-ball expansion.
-    pub fn distances_within(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        mode: TravelMode,
-        bound: f64,
-    ) -> NodeDistances {
-        // Infallible without a control.
-        self.distances_within_ctl(net, from, mode, bound, None)
-            .unwrap_or_else(|_| NodeDistances::empty())
-    }
-
-    /// Budget-aware [`ShortestPathEngine::distances_within`]; charges one
-    /// settlement per finalised node, like every other search here. An
-    /// interrupt abandons the expansion entirely rather than returning a
-    /// partially settled table.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
-    pub fn distances_within_ctl(
-        &mut self,
-        net: &RoadNetwork,
-        from: NodeId,
-        mode: TravelMode,
-        bound: f64,
-        ctl: Option<&Control>,
-    ) -> Result<NodeDistances, Interrupt> {
-        self.distances_within_targets_ctl(net, from, mode, bound, None, ctl)
-    }
-
-    /// Target-pruned bounded one-to-many Dijkstra: like
-    /// [`ShortestPathEngine::distances_within_ctl`], but the expansion
-    /// additionally stops as soon as every node in `targets` has been
-    /// settled — often long before the `bound`-ball is exhausted.
+    /// With `targets`, the expansion additionally stops as soon as every
+    /// target has been settled — often long before the `bound`-ball is
+    /// exhausted.
     ///
     /// The truncated table still answers `d(from, x) ≤ bound` **exactly
     /// for every `x ∈ targets`**: either all targets settled (so each is
@@ -528,9 +467,13 @@ impl ShortestPathEngine {
     ///
     /// Duplicate target entries are fine; `None` disables pruning.
     ///
+    /// With a control, one settlement is charged per finalised node, like
+    /// every other search here, and an interrupt abandons the expansion
+    /// entirely rather than returning a partially settled table.
+    ///
     /// # Errors
     ///
-    /// Same contract as [`ShortestPathEngine::distance_ctl`].
+    /// Same contract as [`ShortestPathEngine::route_ctl`].
     pub fn distances_within_targets_ctl(
         &mut self,
         net: &RoadNetwork,
@@ -725,7 +668,7 @@ impl ShortestPathEngine {
 /// distance to every node inside the expansion bound, sorted by node id
 /// for binary-search lookups.
 ///
-/// Produced by [`ShortestPathEngine::distances_within`]; a node absent
+/// Produced by [`ShortestPathEngine::distances_within_targets_ctl`]; a node absent
 /// from the table is strictly farther from the source than the bound
 /// the table was built with.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -818,7 +761,9 @@ mod tests {
         let (net, ids) = grid3();
         let mut sp = ShortestPathEngine::new(&net);
         let bound = 250.0;
-        let table = sp.distances_within(&net, ids[0], TravelMode::Undirected, bound);
+        let table = sp
+            .distances_within_targets_ctl(&net, ids[0], TravelMode::Undirected, bound, None, None)
+            .unwrap();
         assert!(!table.is_empty());
         for i in 0..net.node_count() {
             let n = NodeId::new(i);
@@ -840,7 +785,14 @@ mod tests {
         let mut sp = ShortestPathEngine::new(&net);
         let ctl = Control::unlimited();
         let t = sp
-            .distances_within_ctl(&net, ids[0], TravelMode::Undirected, 1e9, Some(&ctl))
+            .distances_within_targets_ctl(
+                &net,
+                ids[0],
+                TravelMode::Undirected,
+                1e9,
+                None,
+                Some(&ctl),
+            )
             .unwrap();
         assert_eq!(t.len(), 9, "whole grid within a huge bound");
         assert_eq!(ctl.settled(), 9, "one settlement charged per node");
@@ -848,7 +800,14 @@ mod tests {
             RunBudget::unlimited().with_max_settled_nodes(3),
             CancelToken::new(),
         );
-        let r = sp.distances_within_ctl(&net, ids[0], TravelMode::Undirected, 1e9, Some(&tight));
+        let r = sp.distances_within_targets_ctl(
+            &net,
+            ids[0],
+            TravelMode::Undirected,
+            1e9,
+            None,
+            Some(&tight),
+        );
         assert!(r.is_err(), "budget aborts the expansion");
     }
 
@@ -1042,10 +1001,6 @@ mod tests {
         let mut sp = ShortestPathEngine::new(&net);
         let ctl = Control::unlimited();
         assert_eq!(
-            sp.distance_ctl(&net, ids[0], ids[8], TravelMode::Undirected, &ctl),
-            Ok(Some(400.0))
-        );
-        assert_eq!(
             sp.distance_plain_ctl(&net, ids[0], ids[8], &ctl),
             Ok(Some(400.0))
         );
@@ -1082,7 +1037,14 @@ mod tests {
             CancelToken::new(),
         );
         assert_eq!(
-            sp.distance_ctl(&net, ids[0], ids[8], TravelMode::Undirected, &ctl),
+            sp.distance_bounded_ctl(
+                &net,
+                ids[0],
+                ids[8],
+                TravelMode::Undirected,
+                f64::INFINITY,
+                &ctl
+            ),
             Err(Interrupt::SettledNodeBudgetExhausted)
         );
         // The interrupt is latched: a fresh query through the same control

@@ -68,7 +68,9 @@ proptest! {
         prop_assume!(n >= 2);
         let from = NodeId::new(src % n);
         let mut engine = ShortestPathEngine::new(&net);
-        let table = engine.distances_within(&net, from, TravelMode::Undirected, bound);
+        let table = engine
+            .distances_within_targets_ctl(&net, from, TravelMode::Undirected, bound, None, None)
+            .expect("no control, no interrupt");
         for i in 0..n {
             let node = NodeId::new(i);
             let direct = engine.distance(&net, from, node, TravelMode::Undirected);

@@ -403,10 +403,11 @@ fn cluster(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     }
     if flags.contains_key("trace") && mode != Mode::Base {
         // Re-run phases 1–2 with tracing to print the merge decisions.
-        let (p1, _) = neat_repro::neat::phase1::form_base_clusters_with_policy(
+        let (p1, _) = neat_repro::neat::phase1::form_base_clusters_parallel_with_policy(
             &net,
             &data,
             config.insert_junctions,
+            config.threads,
             policy,
         )
         .map_err(|e| e.to_string())?;
